@@ -14,7 +14,7 @@ deterministic run table with fitted capacity models:
   with knee detection;
 * :mod:`repro.bench.render` — Markdown/CSV tables;
 * :mod:`repro.bench.gates` — the uniform gate-failure format and the
-  reference-cell gate against ``BENCH_perf.json``.
+  same-host linear shard-scaling gate.
 
 See ``docs/benchmarking.md`` for the spec reference and CLI examples.
 """
@@ -24,13 +24,16 @@ from repro.bench.aggregate import (
     build_row,
     compare_tables,
     merge_histograms,
-    percentile_from_snapshot,
     summarize,
     table_digest,
     validate_run_table,
 )
 from repro.bench.capacity import capacity_models, fit_capacity, fit_linear
-from repro.bench.gates import format_gate_failure, gate_reference_cell
+from repro.bench.gates import (
+    MIN_LINEAR_EFFICIENCY,
+    format_gate_failure,
+    gate_linear_scaling,
+)
 from repro.bench.render import (
     render_bench_csv,
     render_bench_table,
@@ -55,6 +58,7 @@ __all__ = [
     "AXIS_DEFAULTS",
     "BenchError",
     "Cell",
+    "MIN_LINEAR_EFFICIENCY",
     "MatrixSpec",
     "TABLE_SCHEMA",
     "build_row",
@@ -65,12 +69,11 @@ __all__ = [
     "fit_capacity",
     "fit_linear",
     "format_gate_failure",
-    "gate_reference_cell",
+    "gate_linear_scaling",
     "load_spec",
     "match_cell",
     "merge_histograms",
     "parse_filters",
-    "percentile_from_snapshot",
     "render_bench_csv",
     "render_bench_table",
     "render_capacity_table",

@@ -16,7 +16,9 @@ import json
 import math
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.bench.gates import LATENCY_GATE_SLACK_S, format_gate_failure
 from repro.bench.spec import Cell, BenchError
+from repro.obs.metrics import bucket_percentile
 
 #: Run-table payload schema tag (see :func:`validate_run_table`).
 TABLE_SCHEMA = "rim-bench-table/v1"
@@ -88,32 +90,6 @@ def merge_histograms(
     return merged
 
 
-def percentile_from_snapshot(
-    snapshot: Optional[Dict[str, Any]], q: float
-) -> Optional[float]:
-    """Approximate q-quantile from a histogram snapshot.
-
-    Mirrors :meth:`repro.obs.metrics.Histogram.percentile` (bucket upper
-    bound clamped by the observed max) so a run table computed from
-    exported snapshots agrees with the live registry.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise BenchError(f"q must be in [0, 1], got {q}")
-    if not snapshot or not snapshot.get("count"):
-        return None
-    bounds = snapshot["bounds"]
-    vmax = float(snapshot["max"])
-    target = q * snapshot["count"]
-    running = 0
-    for k, n in enumerate(snapshot["counts"]):
-        running += int(n)
-        if running >= target and n:
-            if k < len(bounds):
-                return min(float(bounds[k]), vmax)
-            return vmax
-    return vmax
-
-
 def build_row(
     cell: Cell, seed: int, reps: Sequence[Dict[str, Any]]
 ) -> Dict[str, Any]:
@@ -172,7 +148,11 @@ def build_row(
         "latency": latency,
     }
     for suffix, q in LATENCY_QUANTILES:
-        row[f"latency_{suffix}_s"] = percentile_from_snapshot(latency, q)
+        # JSON has no NaN: a cell that recorded no latency reports null.
+        row[f"latency_{suffix}_s"] = None if latency is None else bucket_percentile(
+            latency["bounds"], latency["counts"], latency["count"],
+            latency["max"], q,
+        )
     return row
 
 
@@ -252,24 +232,24 @@ def compare_tables(
     old: Dict[str, Any],
     new: Dict[str, Any],
     max_regression: float = 0.25,
-    latency_slack_s: float = 0.25,
 ) -> List[str]:
-    """Cell-by-cell throughput/latency regression check (``bench compare``).
+    """Cell-by-cell and capacity-model regression check (``bench compare``).
 
     For every cell key present in both tables, mean sessions/sec may not
     drop by more than the fractional budget, and the merged p95 block
-    latency may not grow past the budget plus an absolute slack (block
-    latencies are milliseconds-scale; a purely fractional bound would be
-    a scheduler-jitter lottery).  A cell present in the old table but
+    latency may not grow past the budget plus
+    :data:`~repro.bench.gates.LATENCY_GATE_SLACK_S` (block latencies are
+    milliseconds-scale; a purely fractional bound would be a
+    scheduler-jitter lottery).  A cell present in the old table but
     missing from the new one fails — a silently shrunk matrix is not a
-    pass.
+    pass.  Capacity models of groups present in both tables gate
+    scaling behaviour, not just point speed (:func:`_capacity_failures`).
 
     Returns:
         Human-readable failure strings (uniform gate format); empty
         means the comparison passes.
     """
-    from repro.bench.gates import format_gate_failure
-
+    drop_budget = f"-{max_regression / (1.0 + max_regression):.0%}"
     old_rows = {row["key"]: row for row in old.get("rows", [])}
     new_rows = {row["key"]: row for row in new.get("rows", [])}
     failures: List[str] = []
@@ -295,7 +275,7 @@ def compare_tables(
                     f"bench[{key}].sessions_per_second",
                     measured=f"{new_rate:.2f}/s ({new_rate / old_rate - 1.0:+.0%})",
                     baseline=f"{old_rate:.2f}/s",
-                    budget=f"-{max_regression / (1.0 + max_regression):.0%}",
+                    budget=drop_budget,
                 )
             )
         old_p95 = old_row.get("latency_p95_s")
@@ -303,7 +283,7 @@ def compare_tables(
         if (
             isinstance(old_p95, (int, float))
             and isinstance(new_p95, (int, float))
-            and new_p95 > old_p95 * (1.0 + max_regression) + latency_slack_s
+            and new_p95 > old_p95 * (1.0 + max_regression) + LATENCY_GATE_SLACK_S
         ):
             failures.append(
                 format_gate_failure(
@@ -311,7 +291,66 @@ def compare_tables(
                     measured=f"{new_p95 * 1e3:.1f} ms",
                     baseline=f"{old_p95 * 1e3:.1f} ms",
                     budget=f"+{max_regression:.0%} "
-                    f"plus {latency_slack_s * 1e3:.0f} ms slack",
+                    f"plus {LATENCY_GATE_SLACK_S * 1e3:.0f} ms slack",
                 )
             )
+    old_fits = {model["group"]: model["fit"] for model in old.get("capacity", [])}
+    for model in new.get("capacity", []):
+        old_fit = old_fits.get(model["group"])
+        if old_fit is not None:
+            failures += _capacity_failures(
+                model["group"], old_fit, model["fit"], max_regression
+            )
+    return failures
+
+
+def _capacity_failures(
+    group: str,
+    old_fit: Dict[str, Any],
+    new_fit: Dict[str, Any],
+    max_regression: float,
+) -> List[str]:
+    """Gate one group's capacity model against its baseline fit.
+
+    The fitted sessions/sec-per-shard slope gets the fractional budget
+    (both slopes must be positive for the ratio to mean anything).  A
+    knee appearing where the baseline scaled linearly — or moving to a
+    smaller shard count beyond the budget — means scaling now saturates
+    earlier than the baseline says it does.
+    """
+    drop_budget = f"-{max_regression / (1.0 + max_regression):.0%}"
+    failures: List[str] = []
+    old_slope = float(old_fit["slope"])
+    new_slope = float(new_fit["slope"])
+    if 0 < new_slope < old_slope / (1.0 + max_regression):
+        failures.append(
+            format_gate_failure(
+                f"bench[{group}].capacity.slope",
+                measured=f"{new_slope:.2f} sessions/s per shard",
+                baseline=f"{old_slope:.2f} sessions/s per shard",
+                budget=drop_budget,
+            )
+        )
+    old_knee = old_fit.get("knee")
+    new_knee = new_fit.get("knee")
+    if new_knee is None:
+        return failures
+    if old_knee is None:
+        failures.append(
+            format_gate_failure(
+                f"bench[{group}].capacity.knee",
+                measured=f"knee at {new_knee:g} shards",
+                baseline="no knee (linear scaling)",
+                budget="scaling may not start saturating",
+            )
+        )
+    elif new_knee < old_knee / (1.0 + max_regression):
+        failures.append(
+            format_gate_failure(
+                f"bench[{group}].capacity.knee",
+                measured=f"knee at {new_knee:g} shards",
+                baseline=f"knee at {old_knee:g} shards",
+                budget=drop_budget,
+            )
+        )
     return failures

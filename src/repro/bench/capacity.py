@@ -14,7 +14,6 @@ guard is what keeps healthy scaling reported as ``model="linear"``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.spec import AXES, BenchError
@@ -109,15 +108,16 @@ def fit_capacity(
     return result
 
 
-def capacity_models(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Fit one capacity model per non-shard axis combination.
+def shard_groups(
+    rows: Sequence[Dict[str, Any]],
+) -> Dict[str, List[Dict[str, Any]]]:
+    """Shard-fleet rows (``shards >= 1``) grouped by every other axis.
 
-    Rows are grouped by every axis except ``shards``; within a group the
-    shard-fleet cells (``shards >= 1``) become the fit's (x, y) points
-    with x = shards and y = mean sessions/sec.  Groups with fewer than
-    two shard points carry no scaling information and are skipped.
+    Keys are the non-shard part of the cell key (``sessions=8/kernel=
+    batched/...``), in first-seen order; each group's rows are sorted by
+    shard count.  The capacity fit and the scaling gate both read these.
     """
-    groups: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+    groups: Dict[str, List[Dict[str, Any]]] = {}
     for row in rows:
         cell = row["cell"]
         if int(cell["shards"]) < 1:
@@ -125,16 +125,26 @@ def capacity_models(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
         group_key = "/".join(
             f"{axis}={cell[axis]}" for axis in AXES if axis != "shards"
         )
-        entry = groups.setdefault(group_key, {"points": []})
-        entry["points"].append(
-            (float(cell["shards"]), float(row["sessions_per_second"]["mean"]))
-        )
+        groups.setdefault(group_key, []).append(row)
+    return {
+        key: sorted(members, key=lambda row: int(row["cell"]["shards"]))
+        for key, members in groups.items()
+    }
+
+
+def capacity_models(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Fit one capacity model per non-shard axis combination.
+
+    Within each :func:`shard_groups` group the rows become the fit's
+    (x, y) points with x = shards and y = mean sessions/sec.  Groups
+    with fewer than two shard points carry no scaling information and
+    are skipped.
+    """
     models: List[Dict[str, Any]] = []
-    for group_key, entry in groups.items():
-        points = sorted(entry["points"])
-        if len(points) < 2:
+    for group_key, members in shard_groups(rows).items():
+        if len(members) < 2:
             continue
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
+        xs = [float(row["cell"]["shards"]) for row in members]
+        ys = [float(row["sessions_per_second"]["mean"]) for row in members]
         models.append({"group": group_key, "fit": fit_capacity(xs, ys)})
     return models

@@ -1,21 +1,27 @@
-"""Gate plumbing shared by the bench subsystem and the perf baseline.
+"""Gate plumbing for the bench subsystem.
 
 :func:`format_gate_failure` is the single formatter behind every
-regression-gate failure string in the repo (bench compare, the v9 perf
-gate) so CI logs read uniformly: which gate, measured vs baseline, and
-the budget that was applied.  :func:`gate_reference_cell` ties a bench
-run table back to the committed ``BENCH_perf.json`` reference cell so
-the matrix job fails when the canonical configuration slows down.
+regression-gate failure string in the repo (``bench compare`` and the
+scaling gate) so CI logs read uniformly: which gate, measured vs
+baseline, and the budget that was applied.  :func:`gate_linear_scaling`
+is the same-host shard-scaling gate ``bench run --scaling-gate``
+applies to a fresh run table.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Sequence, Tuple
+
+from repro.bench.capacity import shard_groups
 
 #: Absolute slack added to latency gates: block latencies are
 #: milliseconds-scale, so a purely fractional budget would flap on
 #: scheduler jitter alone.
 LATENCY_GATE_SLACK_S = 0.25
+
+#: Scaling efficiency ``(rate_S / rate_1) / S`` every shard row the host
+#: has the cores to demonstrate must reach (1.0 is perfectly linear).
+MIN_LINEAR_EFFICIENCY = 0.7
 
 
 def format_gate_failure(
@@ -38,85 +44,50 @@ def format_gate_failure(
     return text
 
 
-def _find_row(
-    rows: List[Dict[str, Any]], reference: Dict[str, Any]
-) -> Optional[Dict[str, Any]]:
-    for row in rows:
-        cell = row["cell"]
-        if (
-            int(cell["sessions"]) == int(reference["sessions"])
-            and int(cell["shards"]) == int(reference["shards"])
-            and cell["kernel"] == reference["kernel"]
-            and cell["dtype"] == reference.get("dtype", "float64")
-            and not cell["fault_plan"]
-            and cell["backpressure"] == "block"
-        ):
-            return row
-    return None
+def gate_linear_scaling(
+    rows: Sequence[Dict[str, Any]], n_cpus: int
+) -> Tuple[List[str], List[str]]:
+    """Gate shard rows of one run table at ≥ 0.7x-linear sessions/sec.
 
-
-def gate_reference_cell(
-    table: Dict[str, Any],
-    perf_payload: Dict[str, Any],
-    max_regression: float = 0.25,
-) -> List[str]:
-    """Gate a run table's reference cell against ``BENCH_perf.json``.
-
-    The perf baseline's ``capacity.reference_cell`` names the canonical
-    configuration (sessions, 1 shard, primary kernel) plus its measured
-    sessions/sec and block-latency p95.  The matching row of the run
-    table must exist, hold the fractional throughput budget, and keep
-    p95 within the budget plus :data:`LATENCY_GATE_SLACK_S`.
+    Rows are grouped by every axis but ``shards``; each group scales
+    from its 1-shard row.  Linear scaling needs as many cores as
+    shards, so only rows with ``shards <= n_cpus`` are gated; the
+    others, and every row of a group without a 1-shard row, are skipped
+    with the reason in the report.
 
     Returns:
-        Failure strings (uniform gate format); empty means pass.  A
-        baseline predating schema v9 (no capacity section) gates
-        nothing, so older checkouts stay comparable.
+        ``(failures, report)``: failure strings in the uniform gate
+        format (empty means pass), and one line per multi-shard row or
+        skipped group saying whether it was gated, or why not.
     """
-    capacity = perf_payload.get("capacity")
-    if not isinstance(capacity, dict):
-        return []
-    reference = capacity.get("reference_cell")
-    if not isinstance(reference, dict):
-        return []
     failures: List[str] = []
-    row = _find_row(table.get("rows", []), reference)
-    if row is None:
-        failures.append(
-            format_gate_failure(
-                "bench.reference_cell.present",
-                measured="no matching row",
-                baseline=f"sessions={reference['sessions']} "
-                f"shards={reference['shards']} kernel={reference['kernel']}",
-                budget="matrix must include the reference cell",
-            )
-        )
-        return failures
-    base_rate = float(reference["sessions_per_second"])
-    rate = float(row["sessions_per_second"]["mean"])
-    if base_rate > 0 and rate < base_rate / (1.0 + max_regression):
-        failures.append(
-            format_gate_failure(
-                "bench.reference_cell.sessions_per_second",
-                measured=f"{rate:.2f}/s ({rate / base_rate - 1.0:+.0%})",
-                baseline=f"{base_rate:.2f}/s",
-                budget=f"-{max_regression / (1.0 + max_regression):.0%}",
-            )
-        )
-    base_p95 = reference.get("block_latency_p95_s")
-    p95 = row.get("latency_p95_s")
-    if (
-        isinstance(base_p95, (int, float))
-        and isinstance(p95, (int, float))
-        and p95 > float(base_p95) * (1.0 + max_regression) + LATENCY_GATE_SLACK_S
-    ):
-        failures.append(
-            format_gate_failure(
-                "bench.reference_cell.latency_p95_s",
-                measured=f"{p95 * 1e3:.1f} ms",
-                baseline=f"{float(base_p95) * 1e3:.1f} ms",
-                budget=f"+{max_regression:.0%} plus "
-                f"{LATENCY_GATE_SLACK_S * 1e3:.0f} ms slack",
-            )
-        )
-    return failures
+    report: List[str] = []
+    for group, members in shard_groups(rows).items():
+        base = members[0]
+        if int(base["cell"]["shards"]) != 1:
+            report.append(f"skipped {group}: no 1-shard row to scale from")
+            continue
+        base_rate = float(base["sessions_per_second"]["mean"])
+        for row in members[1:]:
+            shards = int(row["cell"]["shards"])
+            rate = float(row["sessions_per_second"]["mean"])
+            efficiency = rate / base_rate / shards
+            if shards > n_cpus:
+                report.append(
+                    f"skipped {row['key']}: {shards} shards on a "
+                    f"{n_cpus}-cpu host ({efficiency:.2f}x-linear recorded, "
+                    "not gated)"
+                )
+                continue
+            report.append(f"gated {row['key']}: {efficiency:.2f}x-linear")
+            if efficiency < MIN_LINEAR_EFFICIENCY:
+                failures.append(
+                    format_gate_failure(
+                        f"bench[{row['key']}].linear_efficiency",
+                        measured=f"{efficiency:.2f}x-linear "
+                        f"({rate:.2f} sessions/s)",
+                        baseline=f"{base_rate:.2f} sessions/s at 1 shard",
+                        budget=f">= {MIN_LINEAR_EFFICIENCY:.2f}x-linear",
+                    )
+                )
+    return failures, report

@@ -48,8 +48,8 @@ LATENCY_METRIC = "stream.block_latency_s"
 def _rim_config(spec: MatrixSpec, cell: Cell):
     from repro.core.config import RimConfig
 
-    # max_lag=60 matches the perf-baseline harness, so bench cells are
-    # directly comparable with BENCH_perf.json numbers.
+    # max_lag=60 is the lag window `repro.cli demo` runs too, so a traced
+    # demo profiles the same kernel work a bench cell times.
     return RimConfig(
         max_lag=60, kernel_backend=cell.kernel, kernel_dtype=cell.dtype
     )

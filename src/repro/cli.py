@@ -7,7 +7,6 @@ Usage::
     python -m repro.cli list                 # list reproducible figures
     python -m repro.cli run fig11 [--full]   # regenerate one figure
     python -m repro.cli run all  [--full]    # regenerate everything
-    python -m repro.cli profile              # emit BENCH_perf.json
     python -m repro.cli serve-sim            # concurrent multi-receiver replay
     python -m repro.cli record --out DIR     # record a simulated receiver
     python -m repro.cli replay DIR           # integrity-checked store replay
@@ -222,37 +221,6 @@ def cmd_demo(args) -> int:
         print(obs.render_span_table(result.stats["spans"]))
         print()
         print(obs.METRICS.render_table())
-    return 0
-
-
-def cmd_profile(args) -> int:
-    import json
-
-    from repro.eval.perf import (
-        check_perf_regression,
-        render_perf_summary,
-        run_perf_baseline,
-        validate_perf_payload,
-        write_perf_baseline,
-    )
-
-    payload = run_perf_baseline(seed=args.seed, quick=not args.full)
-    validate_perf_payload(payload)
-    write_perf_baseline(args.out, payload)
-    print(render_perf_summary(payload))
-    print(f"\nwrote {args.out}")
-    if args.gate:
-        with open(args.gate, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        failures = check_perf_regression(
-            payload, baseline, max_regression=args.max_regression
-        )
-        if failures:
-            print(f"perf gate vs {args.gate}: FAIL", file=sys.stderr)
-            for failure in failures:
-                print(f"  - {failure}", file=sys.stderr)
-            return 1
-        print(f"perf gate vs {args.gate}: ok")
     return 0
 
 
@@ -595,7 +563,7 @@ def cmd_bench(args) -> int:
 
     from repro.bench import (
         compare_tables,
-        gate_reference_cell,
+        gate_linear_scaling,
         load_spec,
         parse_filters,
         render_bench_csv,
@@ -665,18 +633,16 @@ def cmd_bench(args) -> int:
             render_bench_csv(payload), encoding="utf-8"
         )
         print(f"wrote {out}/run_table.{{json,md,csv}}", file=sys.stderr)
-    if args.gate:
-        with open(args.gate, "r", encoding="utf-8") as fh:
-            perf_payload = json.load(fh)
-        failures = gate_reference_cell(
-            payload, perf_payload, max_regression=args.max_regression
-        )
+    if args.scaling_gate:
+        failures, report = gate_linear_scaling(payload["rows"], payload["n_cpus"])
+        for line in report:
+            print(f"scaling gate: {line}")
         if failures:
-            print(f"bench gate vs {args.gate}: FAIL", file=sys.stderr)
+            print("scaling gate: FAIL", file=sys.stderr)
             for failure in failures:
                 print(f"  - {failure}", file=sys.stderr)
             return 1
-        print(f"bench gate vs {args.gate}: ok")
+        print("scaling gate: ok")
     return 0
 
 
@@ -821,30 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--full", action="store_true", help="paper-scale workload")
     run.add_argument("--seed", type=int, default=0, help="scenario seed")
     run.add_argument("--plot", action="store_true", help="render ASCII figures")
-
-    profile = sub.add_parser(
-        "profile", help="profile the pipeline and write a perf baseline"
-    )
-    profile.add_argument(
-        "--out", default="BENCH_perf.json", help="output JSON path"
-    )
-    profile.add_argument("--seed", type=int, default=0, help="scenario seed")
-    profile.add_argument(
-        "--full", action="store_true", help="longer, paper-scale workload"
-    )
-    profile.add_argument(
-        "--gate",
-        metavar="PATH",
-        default=None,
-        help="fail if the fresh run regresses vs the committed baseline at PATH",
-    )
-    profile.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        metavar="FRAC",
-        help="allowed fractional rim.process slowdown for --gate (default 0.25)",
-    )
 
     serve = sub.add_parser(
         "serve-sim",
@@ -1090,13 +1032,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None, help="override the spec's seed"
     )
     bench_run.add_argument(
-        "--gate", default=None, metavar="PATH",
-        help="gate the run table's reference cell against the committed "
-        "perf baseline at PATH (BENCH_perf.json)",
-    )
-    bench_run.add_argument(
-        "--max-regression", type=float, default=0.25, metavar="FRAC",
-        help="allowed fractional regression for --gate (default 0.25)",
+        "--scaling-gate", action="store_true",
+        help="fail when a shard row scales below 0.7x-linear sessions/s "
+        "over its 1-shard row; rows with more shards than the host has "
+        "cpus are reported and skipped",
     )
 
     bench_table = bench_sub.add_parser(
@@ -1141,7 +1080,6 @@ def main(argv=None) -> int:
         "demo": cmd_demo,
         "list": cmd_list,
         "run": cmd_run,
-        "profile": cmd_profile,
         "serve-sim": cmd_serve_sim,
         "record": cmd_record,
         "replay": cmd_replay,

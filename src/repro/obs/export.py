@@ -32,6 +32,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.obs.metrics import bucket_percentile
+
 TELEMETRY_SCHEMA = "rim-telemetry/v1"
 
 _TAGGED_RE = re.compile(r"^(?P<base>[^{]+)\{(?P<labels>.*)\}$")
@@ -336,24 +338,6 @@ def read_last_snapshot(path: Union[str, Path]) -> Dict[str, Any]:
 # -- obs-top table --------------------------------------------------------
 
 
-def snapshot_percentile(snap: Dict[str, Any], q: float) -> float:
-    """Approximate q-quantile from a histogram *snapshot* dict."""
-    count = snap.get("count", 0)
-    if not count:
-        return math.nan
-    target = q * count
-    running = 0
-    bounds = snap["bounds"]
-    vmax = snap["max"]
-    for k, n in enumerate(snap["counts"]):
-        running += n
-        if running >= target and n:
-            if k < len(bounds):
-                return min(bounds[k], vmax)
-            return vmax
-    return vmax
-
-
 def session_rows(metrics: Dict[str, Dict[str, Any]]) -> List[Dict[str, Any]]:
     """Per-session dashboard rows from one registry snapshot.
 
@@ -388,8 +372,10 @@ def session_rows(metrics: Dict[str, Dict[str, Any]]) -> List[Dict[str, Any]]:
         elif base == "serve.repairs":
             row(session)["repairs"] = snap["value"]
         elif base == "serve.block_latency_s":
-            row(session)["p50_s"] = snapshot_percentile(snap, 0.5)
-            row(session)["p95_s"] = snapshot_percentile(snap, 0.95)
+            for key, q in (("p50_s", 0.5), ("p95_s", 0.95)):
+                row(session)[key] = bucket_percentile(
+                    snap["bounds"], snap["counts"], snap["count"], snap["max"], q
+                )
     return [per_session[k] for k in sorted(per_session)]
 
 

@@ -34,6 +34,37 @@ LATENCY_BOUNDS_S = tuple(10.0 ** (-4 + k / 4.0) for k in range(19))
 PROMINENCE_BOUNDS = tuple(k / 20.0 for k in range(1, 21))
 
 
+def bucket_percentile(
+    bounds: Sequence[float],
+    counts: Sequence[int],
+    count: int,
+    vmax: float,
+    q: float,
+) -> float:
+    """Approximate q-quantile of bucketed observations, q in [0, 1].
+
+    The single bucket walk behind every percentile the program reports:
+    a live :meth:`Histogram.percentile`, an exported snapshot (obs-top),
+    and a merged bench run-table histogram all call it with the same
+    four fields (``bounds``/``counts``/``count``/``max`` in a snapshot).
+    The answer is the upper bound of the bucket holding the quantile,
+    clamped by the observed max; NaN when nothing was observed.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+    if not count:
+        return math.nan
+    target = q * count
+    running = 0
+    for k, n in enumerate(counts):
+        running += n
+        if running >= target and n:
+            if k < len(bounds):
+                return min(bounds[k], vmax)
+            return vmax
+    return vmax
+
+
 class Counter:
     """A monotonically increasing count of work done.
 
@@ -139,19 +170,7 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Approximate q-quantile (bucket upper bound), q in [0, 1]."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        if not self.count:
-            return math.nan
-        target = q * self.count
-        running = 0
-        for k, n in enumerate(self.counts):
-            running += n
-            if running >= target and n:
-                if k < len(self.bounds):
-                    return min(self.bounds[k], self.vmax)
-                return self.vmax
-        return self.vmax
+        return bucket_percentile(self.bounds, self.counts, self.count, self.vmax, q)
 
     def snapshot(self) -> Dict[str, Any]:
         with self._mu:

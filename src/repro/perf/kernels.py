@@ -1,7 +1,8 @@
 """TRRS kernel backends: the batched alignment hot path.
 
 The alignment matrices of §3.2 dominate ``Rim.process`` wall time (see
-``BENCH_perf.json``).  The serial path builds each pair's banded matrix
+``perf.alignment_busy_s`` in ``perfbench/run.py --trace 1``).  The serial
+path builds each pair's banded matrix
 with one complex einsum per lag *per pair*; this module restructures the
 work around a shared cell store and two batched kernels: contiguous row
 runs are reduced by BLAS band GEMMs (the complex inner product fused

@@ -1,7 +1,8 @@
 """Kernel-backend registry: how the pipeline picks its TRRS kernels.
 
-The alignment hot path (§3.2/§4.2 — by far the dominant cost in
-``BENCH_perf.json``) is served by interchangeable *kernel backends*:
+The alignment hot path (§3.2/§4.2 — by far the dominant cost; see
+``perf.alignment_busy_s`` in ``perfbench/run.py --trace 1``) is served by
+interchangeable *kernel backends*:
 
 * ``reference`` — the original per-pair loops of
   :func:`repro.core.alignment.alignment_matrix`.  Slow, simple, and the

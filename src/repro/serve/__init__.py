@@ -12,12 +12,10 @@ independent receivers at once.
   (``"block"`` / ``"drop_oldest"`` / ``"reject"``); shed and reject
   counts surface in the session's per-block
   :class:`~repro.robustness.health.HealthReport`.
-* :class:`~repro.serve.runner.ParallelRunner` fans a batch of traces
-  across a worker pool (threads by default — the band-GEMM kernels
-  release the GIL inside BLAS; processes as an opt-in) while preserving
-  bit-identical per-session results versus serial execution.
 * :func:`~repro.serve.simulate.run_serve_sim` replays N simulated
-  receivers concurrently (the ``repro.cli serve-sim`` verb).
+  receivers concurrently (the ``repro.cli serve-sim`` verb); per-session
+  results are bit-identical whatever the worker count.  Process-level
+  parallelism is :mod:`repro.shard`.
 
 Concurrency contract: sessions are independent — different sessions may
 be driven from different threads freely.  A single session is a
@@ -26,7 +24,6 @@ single-producer object: drive any one session from one thread at a time.
 
 from __future__ import annotations
 
-from repro.serve.runner import ParallelRunner, SessionRunResult, replay_trace
 from repro.serve.session import (
     BACKPRESSURE_POLICIES,
     PUSH_ACCEPTED,
@@ -49,13 +46,10 @@ __all__ = [
     "PUSH_BLOCKED",
     "PUSH_REJECTED",
     "PUSH_SHED_OLDEST",
-    "ParallelRunner",
     "ServeConfig",
     "ServeSession",
     "SessionManager",
-    "SessionRunResult",
     "render_serve_table",
-    "replay_trace",
     "run_serve_sim",
     "simulated_receivers",
 ]

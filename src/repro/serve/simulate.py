@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro import obs
 from repro.arrays.geometry import linear_array
 from repro.channel.sampler import CsiTrace
 from repro.core.config import RimConfig
@@ -126,6 +125,10 @@ def run_serve_sim(
 ) -> Dict[str, Any]:
     """Replay N simulated receivers concurrently through a SessionManager.
 
+    Instrumentation follows the caller's :mod:`repro.obs` state, as in
+    :func:`repro.shard.fleet.run_shard_sim`: bench cells and the CLI
+    telemetry flags enable it; a plain run measures with tracing off.
+
     Args:
         n_sessions: Number of simulated receivers.
         n_workers: Worker threads driving the sessions.
@@ -136,7 +139,7 @@ def run_serve_sim(
         block_seconds: Streaming emission cadence.
         rim_config: Estimator config override.
         receivers: Pre-sampled ``(name, trace)`` receivers (skips the
-            testbed simulation — used by tests and the perf harness).
+            testbed simulation — used by tests and ``repro.bench``).
         store_dir: Replay recorded receivers from this store / fleet
             directory (see :func:`store_receivers`) instead of
             simulating; overrides ``n_sessions``/``seed``/``duration_s``.
@@ -167,28 +170,21 @@ def run_serve_sim(
     manager = SessionManager(
         rim_config=rim_config, serve_config=serve_config, record_dir=record_dir
     )
-
-    was_enabled = obs.enabled()
-    obs.enable()
-    try:
-        for name, trace in receivers:
-            manager.create(name, trace.array, trace.sampling_rate,
-                           carrier_wavelength=trace.carrier_wavelength)
-        t0 = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=max(1, n_workers)) as pool:
-            replays = list(
-                pool.map(
-                    lambda rx: _replay_into_manager(
-                        manager, rx[0], rx[1], should_stop=should_stop
-                    ),
-                    receivers,
-                )
+    for name, trace in receivers:
+        manager.create(name, trace.array, trace.sampling_rate,
+                       carrier_wavelength=trace.carrier_wavelength)
+    t0 = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=max(1, n_workers)) as pool:
+        replays = list(
+            pool.map(
+                lambda rx: _replay_into_manager(
+                    manager, rx[0], rx[1], should_stop=should_stop
+                ),
+                receivers,
             )
-        manager.flush_all()
-        wall = time.perf_counter() - t0
-    finally:
-        if not was_enabled:
-            obs.disable()
+        )
+    manager.flush_all()
+    wall = time.perf_counter() - t0
 
     session_stats = manager.stats()
     by_name = {r["session"]: r for r in replays}

@@ -13,13 +13,7 @@ bit-identically on survivors from their ingest recordings
 (:mod:`repro.shard.worker`).  See ``docs/sharding.md``.
 """
 
-from repro.shard.fleet import (
-    MIN_LINEAR_EFFICIENCY,
-    measure_shard_scaling,
-    render_scaling_table,
-    render_shard_table,
-    run_shard_sim,
-)
+from repro.shard.fleet import render_shard_table, run_shard_sim
 from repro.shard.messages import ShardProtocolError
 from repro.shard.ring import HashRing
 from repro.shard.router import ShardError, ShardRouter, ShardSessionProxy
@@ -27,15 +21,12 @@ from repro.shard.worker import SHARD_CHUNK_SAMPLES, WorkerInit, shard_worker_mai
 
 __all__ = [
     "HashRing",
-    "MIN_LINEAR_EFFICIENCY",
     "SHARD_CHUNK_SAMPLES",
     "ShardError",
     "ShardProtocolError",
     "ShardRouter",
     "ShardSessionProxy",
     "WorkerInit",
-    "measure_shard_scaling",
-    "render_scaling_table",
     "render_shard_table",
     "run_shard_sim",
     "shard_worker_main",

@@ -1,11 +1,11 @@
-"""Sharded serve simulation + scaling measurement: ``serve-sim --shards``.
+"""Sharded serve simulation: ``serve-sim --shards``.
 
 The single-manager simulator (:mod:`repro.serve.simulate`) replays N
 receivers through one in-process :class:`~repro.serve.session.
 SessionManager`; this module replays the same receivers through a
-:class:`~repro.shard.router.ShardRouter` fleet, and measures how
-sessions/sec scales with shard count — the number the CI
-``shard-scaling`` job gates at ≥ 0.7x-linear.
+:class:`~repro.shard.router.ShardRouter` fleet.  How sessions/sec
+scales with shard count is measured by the ``repro.bench`` ``shards``
+axis (``benchmarks/matrices/scaling.toml``).
 
 The timed window starts after :meth:`ShardRouter.wait_ready` and session
 creation, so worker startup (interpreter spawn, numpy import) never
@@ -15,19 +15,15 @@ flush, and update delivery — the full serving round-trip.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.channel.sampler import CsiTrace
 from repro.core.config import RimConfig
 from repro.serve.session import ServeConfig
 from repro.serve.simulate import simulated_receivers, store_receivers
 from repro.shard.router import ShardRouter
-
-# Efficiency the CI gate enforces when the host has the cores to show it.
-MIN_LINEAR_EFFICIENCY = 0.7
 
 
 def _replay_into_router(
@@ -67,7 +63,6 @@ def run_shard_sim(
     store_dir=None,
     record_dir=None,
     should_stop: Optional[Callable[[], bool]] = None,
-    start_method: Optional[str] = None,
     router: Optional[ShardRouter] = None,
 ) -> Dict[str, Any]:
     """Replay N receivers concurrently through a shard fleet.
@@ -78,9 +73,9 @@ def run_shard_sim(
     per-shard session placement.
 
     Args:
-        router: Drive an existing fleet instead of spawning one (the
-            scaling harness reuses this); the caller keeps ownership and
-            must close it.
+        router: Drive an existing fleet instead of spawning one (bench
+            cells read the fleet's metrics before closing it); the
+            caller keeps ownership and must close it.
     """
     if receivers is None:
         if store_dir is not None:
@@ -102,7 +97,6 @@ def run_shard_sim(
             rim_config=rim_config,
             serve_config=serve_config,
             record_dir=record_dir,
-            start_method=start_method,
         )
     try:
         router.wait_ready()
@@ -175,65 +169,6 @@ def run_shard_sim(
     }
 
 
-def measure_shard_scaling(
-    shard_counts: Sequence[int] = (1, 2, 4),
-    n_sessions: int = 8,
-    seed: int = 0,
-    duration_s: float = 2.0,
-    rim_config: Optional[RimConfig] = None,
-    receivers: Optional[Sequence[Tuple[str, CsiTrace]]] = None,
-    start_method: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Sessions/sec at each shard count, plus derived scaling efficiency.
-
-    The same pre-sampled receiver workload replays once per shard count
-    through a fresh fleet; ``efficiency`` at S shards is
-    ``(rate_S / rate_1) / S`` — 1.0 is perfectly linear.  Efficiency is
-    only meaningful when the host has at least S cores; the ``n_cpus``
-    field lets consumers (the CI gate) skip rows the hardware cannot
-    demonstrate.
-    """
-    shard_counts = sorted(set(int(s) for s in shard_counts))
-    if not shard_counts or shard_counts[0] < 1:
-        raise ValueError(f"shard_counts must be >= 1, got {shard_counts}")
-    if receivers is None:
-        receivers = simulated_receivers(n_sessions, seed=seed, duration_s=duration_s)
-    rows: List[Dict[str, Any]] = []
-    base_rate: Optional[float] = None
-    for shards in shard_counts:
-        result = run_shard_sim(
-            shards=shards,
-            seed=seed,
-            duration_s=duration_s,
-            rim_config=rim_config,
-            receivers=receivers,
-            start_method=start_method,
-        )
-        agg = result["aggregate"]
-        rate = float(agg["sessions_per_second"])
-        if shards == 1:
-            base_rate = rate
-        speedup = rate / base_rate if base_rate else None
-        rows.append(
-            {
-                "shards": shards,
-                "wall_s": float(agg["wall_s"]),
-                "sessions_per_second": rate,
-                "samples_per_second": float(agg["samples_per_second"]),
-                "speedup": speedup,
-                "efficiency": None if speedup is None else speedup / shards,
-            }
-        )
-    return {
-        "shard_counts": shard_counts,
-        "n_sessions": len(receivers),
-        "n_cpus": os.cpu_count() or 1,
-        "start_method": start_method or "auto",
-        "min_linear_efficiency": MIN_LINEAR_EFFICIENCY,
-        "rows": rows,
-    }
-
-
 def render_shard_table(result: Dict[str, Any]) -> str:
     """Per-session table for a sharded run (adds the shard column)."""
     rows = result["sessions"]
@@ -266,23 +201,3 @@ def render_shard_table(result: Dict[str, Any]) -> str:
     ]
     return "\n".join(lines)
 
-
-def render_scaling_table(scaling: Dict[str, Any]) -> str:
-    """Markdown-ish run table for the scaling artifact and CI logs."""
-    lines = [
-        f"shard scaling: {scaling['n_sessions']} sessions, "
-        f"{scaling['n_cpus']} cpus",
-        f"{'shards':>6} {'wall s':>9} {'sess/s':>9} {'samp/s':>10} "
-        f"{'speedup':>8} {'eff':>6}",
-    ]
-    for row in scaling["rows"]:
-        speedup = row["speedup"]
-        eff = row["efficiency"]
-        lines.append(
-            f"{row['shards']:>6} {row['wall_s']:>9.3f} "
-            f"{row['sessions_per_second']:>9.2f} "
-            f"{row['samples_per_second']:>10.0f} "
-            f"{'-' if speedup is None else f'{speedup:.2f}':>8} "
-            f"{'-' if eff is None else f'{eff:.2f}':>6}"
-        )
-    return "\n".join(lines)

@@ -10,9 +10,8 @@ Locks down the PR-10 acceptance criteria:
   synthetic kneed data as ``kneed`` with the right knee;
 * a run table is **bit-identical** (same digest) when re-run with the
   same seed, and the digest detects tampering;
-* the v9 perf payload carries a capacity section, and the new
-  capacity/knee/reference-cell gates fire on synthetic regressions
-  with the uniform failure format;
+* ``compare_tables``' capacity slope/knee gates and the linear-scaling
+  gate fire on synthetic regressions with the uniform failure format;
 * the ``bench`` CLI verb works end-to-end (run/table/compare).
 """
 
@@ -20,26 +19,29 @@ from __future__ import annotations
 
 import copy
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.bench import (
+    MIN_LINEAR_EFFICIENCY,
     BenchError,
     Cell,
     MatrixSpec,
     build_row,
+    capacity_models,
     cell_seed,
     compare_tables,
     expand_matrix,
     fit_capacity,
     fit_linear,
     format_gate_failure,
-    gate_reference_cell,
+    gate_linear_scaling,
     load_spec,
     match_cell,
     merge_histograms,
     parse_filters,
-    percentile_from_snapshot,
     render_bench_csv,
     render_bench_table,
     run_matrix,
@@ -158,12 +160,18 @@ def test_load_spec_toml(tmp_path):
     assert spec.repetitions == 2
 
 
-def test_committed_smoke_matrix_loads():
-    pytest.importorskip("tomllib")
-    spec = load_spec("benchmarks/matrices/smoke.toml")
-    cells = expand_matrix(spec)
-    assert len(cells) == 8  # the 2x2x2 CI smoke matrix
-    assert spec.seed == 0 and spec.duration_s == 1.0
+MATRIX_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "matrices"
+
+
+@pytest.mark.parametrize(
+    "path", sorted(MATRIX_DIR.iterdir()), ids=lambda path: path.name
+)
+def test_committed_matrix_loads(path):
+    if path.suffix == ".toml":
+        pytest.importorskip("tomllib")
+    spec = load_spec(path)
+    assert spec.name == path.stem
+    assert expand_matrix(spec)
 
 
 # ----------------------------------------------------------- aggregate
@@ -179,20 +187,6 @@ def test_summarize_known_distribution():
     assert single["stdev"] == 0.0 and single["spread_frac"] == 0.0
     with pytest.raises(BenchError):
         summarize([])
-
-
-def test_percentile_from_snapshot_matches_live_histogram():
-    from repro.obs.metrics import Histogram
-
-    hist = Histogram("t", bounds=(0.1, 0.5, 1.0))
-    for v in (0.05, 0.2, 0.3, 0.4, 0.7, 0.9, 0.95):
-        hist.observe(v)
-    snap = hist.snapshot()
-    for q in (0.1, 0.5, 0.9, 0.95, 1.0):
-        assert percentile_from_snapshot(snap, q) == hist.percentile(q)
-    assert percentile_from_snapshot(None, 0.5) is None
-    with pytest.raises(BenchError):
-        percentile_from_snapshot(snap, 1.5)
 
 
 def test_merge_histograms():
@@ -224,7 +218,8 @@ def _rep(updates=5, distance=1.25, rate=10.0):
 def test_build_row_flags_determinism_violation():
     cell = expand_matrix(MatrixSpec(name="x"))[0]
     assert cell.deterministic
-    build_row(cell, 7, [_rep(), _rep()])  # identical reps: fine
+    row = build_row(cell, 7, [_rep(), _rep()])  # identical reps: fine
+    assert row["latency_p95_s"] is None  # no latency recorded: null, not NaN
     with pytest.raises(BenchError, match="diverged"):
         build_row(cell, 7, [_rep(updates=5), _rep(updates=6)])
     with pytest.raises(BenchError, match="diverged"):
@@ -348,79 +343,79 @@ def test_compare_tables_pass_and_fail():
     assert any(".present]" in f for f in compare_tables(old, shrunk))
 
 
-def _perf_capacity(slope=2.0, knee=None, rate=10.0, p95=0.05):
-    return {
-        "capacity": {
-            "source": "shard_scaling",
-            "fit": {"model": "kneed" if knee is not None else "linear",
-                    "slope": slope, "intercept": 0.0, "r2": 1.0,
-                    "knee": knee, "slope_after": None, "points": []},
-            "reference_cell": {
-                "key": "x", "sessions": 4, "shards": 1,
-                "kernel": "batched", "dtype": "float64",
-                "sessions_per_second": rate,
-                "block_latency_p50_s": p95 / 2, "block_latency_p95_s": p95,
-            },
-        }
-    }
+def _scaling_rows(rates, shards=None):
+    """Run-table rows of one group with the given mean sessions/sec."""
+    shards = shards or list(range(1, len(rates) + 1))
+    spec = MatrixSpec(name="x", axes={"shards": shards})
+    return [
+        build_row(cell, 0, [_rep(rate=rate)])
+        for cell, rate in zip(expand_matrix(spec), rates)
+    ]
 
 
-def test_perf_capacity_gates_fire():
-    from repro.eval.perf import check_perf_regression
+def _scaling_table(rates):
+    rows = _scaling_rows(rates)
+    return {"rows": rows, "capacity": capacity_models(rows)}
 
-    baseline = _perf_capacity(slope=2.0)
+
+def test_compare_tables_capacity_gates_fire():
+    linear = _scaling_table([2.0, 4.0, 6.0, 8.0, 10.0, 12.0])
+    assert compare_tables(linear, linear) == []
     # slope regression beyond the budget
-    fresh = _perf_capacity(slope=1.0)
-    failures = check_perf_regression(fresh, baseline)
-    assert any("[capacity.fit.slope]" in f for f in failures)
+    halved = _scaling_table([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    assert halved["capacity"][0]["fit"]["slope"] == pytest.approx(1.0)
+    failures = compare_tables(linear, halved)
+    assert any("].capacity.slope]" in f for f in failures)
     # a knee appearing where the baseline scaled linearly
-    kneed = _perf_capacity(slope=2.0, knee=2)
-    failures = check_perf_regression(kneed, baseline)
-    assert any("[capacity.fit.knee]" in f for f in failures)
+    knee3 = _scaling_table([2.0, 4.0, 6.0, 6.1, 6.15, 6.2])
+    assert knee3["capacity"][0]["fit"]["knee"] == 3
+    failures = compare_tables(linear, knee3)
+    assert any("].capacity.knee]" in f and "no knee" in f for f in failures)
     # knee moving earlier beyond the budget
-    failures = check_perf_regression(
-        _perf_capacity(slope=2.0, knee=2), _perf_capacity(slope=2.0, knee=4)
-    )
-    assert any("[capacity.fit.knee]" in f for f in failures)
-    # within-budget knee drift passes
-    assert not check_perf_regression(
-        _perf_capacity(slope=2.0, knee=4), _perf_capacity(slope=2.0, knee=4)
-    )
-    # p95 blow-up past budget + slack
-    failures = check_perf_regression(
-        _perf_capacity(p95=0.5), _perf_capacity(p95=0.05)
-    )
-    assert any(
-        "[capacity.reference_cell.block_latency_p95_s]" in f for f in failures
-    )
-    # a v8 baseline (no capacity section) skips every capacity gate
-    assert not check_perf_regression(_perf_capacity(slope=1.0), {})
+    knee2 = _scaling_table([2.0, 4.0, 4.1, 4.15, 4.2, 4.25])
+    assert knee2["capacity"][0]["fit"]["knee"] == 2
+    failures = compare_tables(knee3, knee2)
+    assert any("].capacity.knee]" in f and "knee at 3" in f for f in failures)
+    # an unchanged knee passes, and a later knee is an improvement
+    assert not [f for f in compare_tables(knee3, knee3) if "capacity" in f]
+    assert not [f for f in compare_tables(knee2, knee3) if "capacity" in f]
 
 
-def test_gate_reference_cell():
-    table = run_matrix(
-        tiny_spec(axes={"sessions": [2], "shards": [1]}, repetitions=1)
-    )
-    row = table["rows"][0]
-    rate = row["sessions_per_second"]["mean"]
-    perf = {
-        "capacity": {
-            "reference_cell": {
-                "key": row["key"], "sessions": 2, "shards": 1,
-                "kernel": "batched", "dtype": "float64",
-                "sessions_per_second": rate,
-                "block_latency_p95_s": row["latency_p95_s"],
-            }
-        }
-    }
-    assert gate_reference_cell(table, perf) == []
-    perf["capacity"]["reference_cell"]["sessions_per_second"] = rate * 10
-    failures = gate_reference_cell(table, perf)
-    assert any(".sessions_per_second]" in f for f in failures)
-    perf["capacity"]["reference_cell"]["sessions"] = 99  # no matching row
-    failures = gate_reference_cell(table, perf)
-    assert any(".present]" in f for f in failures)
-    assert gate_reference_cell(table, {}) == []  # pre-v9 baseline: no gate
+_GATE_FORMAT = re.compile(r"^\[.+\] measured .+ vs baseline .+ \(budget .+\)$")
+
+
+def test_scaling_gate_fails_demonstrable_rows_below_floor():
+    # 1 -> 2 shards: 1.8x (0.90x-linear); 1 -> 3 shards: 2.0x (0.67x-linear)
+    rows = _scaling_rows([10.0, 18.0, 20.0])
+    failures, report = gate_linear_scaling(rows, n_cpus=4)
+    assert len(failures) == 1
+    assert _GATE_FORMAT.match(failures[0])
+    assert failures[0].startswith("[bench[sessions=4/shards=3/")
+    assert f">= {MIN_LINEAR_EFFICIENCY:.2f}x-linear" in failures[0]
+    assert [line.split(":")[0] for line in report] == [
+        f"gated {rows[1]['key']}", f"gated {rows[2]['key']}",
+    ]
+    assert gate_linear_scaling(rows[:2], n_cpus=4)[0] == []
+
+
+def test_scaling_gate_skips_rows_the_host_cannot_demonstrate():
+    rows = _scaling_rows([10.0, 18.0, 12.0, 11.0])
+    failures, report = gate_linear_scaling(rows, n_cpus=2)
+    assert failures == []  # the 3- and 4-shard rows scale badly, ungated
+    skipped = [line for line in report if line.startswith("skipped")]
+    assert len(skipped) == 2
+    assert "4 shards on a 2-cpu host" in skipped[1]
+    assert rows[3]["key"] in skipped[1]
+
+
+def test_scaling_gate_skips_group_without_one_shard_row():
+    rows = _scaling_rows([10.0, 11.0], shards=[2, 4])
+    failures, report = gate_linear_scaling(rows, n_cpus=8)
+    assert failures == []
+    assert report == [
+        "skipped sessions=4/kernel=batched/dtype=float64/fault_plan=/"
+        "backpressure=block: no 1-shard row to scale from"
+    ]
 
 
 # ------------------------------------------------------------------ cli

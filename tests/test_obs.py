@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro import Rim, RimConfig, StreamingRim, obs
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry, bucket_percentile
 from repro.obs.trace import NULL_SPAN, Tracer, aggregate_spans, render_span_table
 
 
@@ -121,6 +121,37 @@ def test_histogram_stats_and_percentiles():
     hist.observe(float("nan"))
     assert hist.count == 5  # NaN observations are ignored
     assert "n=5" in hist.summary()
+
+
+def test_bucket_percentile_live_snapshot_and_empty():
+    """One bucket walk: a live histogram, its snapshot, and obs-top agree."""
+    from repro.obs.export import session_rows
+
+    def from_snapshot(snap, q):
+        return bucket_percentile(
+            snap["bounds"], snap["counts"], snap["count"], snap["max"], q
+        )
+
+    hist = Histogram("t", bounds=(0.1, 0.5, 1.0))
+    for v in (0.05, 0.2, 0.3, 0.4, 0.7, 0.9, 0.95):
+        hist.observe(v)
+    snap = hist.snapshot()
+    for q in (0.0, 0.1, 0.5, 0.9, 0.95, 1.0):
+        assert from_snapshot(snap, q) == hist.percentile(q)
+    assert hist.percentile(0.5) == 0.5  # bucket upper bound
+    assert hist.percentile(1.0) == 0.95  # last bucket clamped by the max
+    row = session_rows({"serve.block_latency_s{session=a}": snap})[0]
+    assert (row["p50_s"], row["p95_s"]) == (
+        hist.percentile(0.5), hist.percentile(0.95)
+    )
+
+    empty = Histogram("e")
+    assert np.isnan(empty.percentile(0.5))
+    assert np.isnan(from_snapshot(empty.snapshot(), 0.5))
+    with pytest.raises(ValueError):
+        hist.percentile(1.5)
+    with pytest.raises(ValueError):
+        from_snapshot(snap, -0.1)
 
 
 def test_metric_kind_collision_raises():
@@ -408,33 +439,3 @@ def test_tracing_never_perturbs_numerics(line_trace):
     for t0, t1 in zip(baseline.group_tracks, traced.group_tracks):
         assert t0.path.refined_lags.tobytes() == t1.path.refined_lags.tobytes()
         assert t0.matrix.values.tobytes() == t1.matrix.values.tobytes()
-
-
-# -- perf baseline schema -------------------------------------------------
-
-
-def test_perf_baseline_payload_schema(tmp_path):
-    from repro.eval.perf import (
-        run_perf_baseline,
-        validate_perf_payload,
-        write_perf_baseline,
-    )
-
-    payload = run_perf_baseline(seed=0, quick=True, duration_s=1.0)
-    validate_perf_payload(payload)  # structural acceptance criterion
-    assert obs.enabled() is False  # harness restores instrumentation state
-
-    out = tmp_path / "BENCH_perf.json"
-    write_perf_baseline(out, payload)
-    import json
-
-    reread = json.loads(out.read_text())
-    validate_perf_payload(reread)
-    assert reread["streaming"]["block_latency"]["count"] >= 1
-
-    with pytest.raises(ValueError):
-        validate_perf_payload({"schema": "bogus"})
-    broken = json.loads(out.read_text())
-    broken["batch"]["spans"] = []
-    with pytest.raises(ValueError):
-        validate_perf_payload(broken)

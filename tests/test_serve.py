@@ -14,7 +14,6 @@ from repro.serve import (
     PUSH_BLOCKED,
     PUSH_REJECTED,
     PUSH_SHED_OLDEST,
-    ParallelRunner,
     ServeConfig,
     SessionManager,
     render_serve_table,
@@ -203,108 +202,6 @@ class TestSessionManager:
             obs.reset()
 
 
-class TestParallelEquivalence:
-    """Pool scheduling must never change per-session numbers."""
-
-    def _run(self, traces, mode, n_workers):
-        cfg = RimConfig(max_lag=50)
-        runner = ParallelRunner(n_workers=n_workers, mode=mode)
-        return runner.run(traces, rim_config=cfg, block_seconds=0.5)
-
-    def test_thread_pool_matches_serial(self, serve_traces):
-        serial = self._run(serve_traces, "serial", 1)
-        one = self._run(serve_traces, "thread", 1)
-        four = self._run(serve_traces, "thread", 4)
-        for a, b, c in zip(serial, one, four):
-            assert a.same_estimates(b)
-            assert a.same_estimates(c)
-            assert a.total_distance == b.total_distance == c.total_distance
-            assert np.array_equal(a.heading, c.heading, equal_nan=True)
-            assert np.array_equal(a.speed, c.speed)
-
-    def test_process_pool_matches_serial(self, serve_traces):
-        serial = self._run(serve_traces, "serial", 1)
-        procs = self._run(serve_traces, "process", 2)
-        for a, b in zip(serial, procs):
-            assert a.same_estimates(b)
-
-    def test_results_in_input_order(self, serve_traces):
-        results = self._run(serve_traces, "thread", 4)
-        assert [r.name for r in results] == ["rx00", "rx01", "rx02"]
-        assert [r.n_samples for r in results] == [
-            t.n_samples for t in serve_traces
-        ]
-
-    def test_health_flags_identical(self, serve_traces):
-        serial = self._run(serve_traces, "serial", 1)
-        threaded = self._run(serve_traces, "thread", 4)
-        for a, b in zip(serial, threaded):
-            assert a.degraded_blocks == b.degraded_blocks
-            assert a.dead_chains == b.dead_chains
-            assert a.repairs == b.repairs
-
-    def test_invalid_runner_args(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(mode="fiber")
-        with pytest.raises(ValueError):
-            ParallelRunner(n_workers=0)
-        with pytest.raises(ValueError):
-            ParallelRunner().run([], names=["a"])
-
-
-class TestRunnerHonesty:
-    """The runner reports the pool width that actually executed."""
-
-    def _run(self, runner, traces):
-        return runner.run(
-            traces, rim_config=RimConfig(max_lag=50), block_seconds=0.5
-        )
-
-    def test_serial_mode_reports_one_worker(self, serve_traces):
-        runner = ParallelRunner(n_workers=4, mode="serial")
-        self._run(runner, serve_traces)
-        assert runner.n_workers_effective == 1
-        assert runner.fallback_reason == "serial mode requested"
-
-    def test_thread_pool_reports_true_width(self, serve_traces):
-        runner = ParallelRunner(n_workers=2, mode="thread")
-        self._run(runner, serve_traces)
-        assert runner.n_workers_effective == 2
-        assert runner.fallback_reason is None
-
-    def test_width_never_exceeds_job_count(self, serve_traces):
-        runner = ParallelRunner(n_workers=8, mode="thread")
-        self._run(runner, serve_traces)
-        assert runner.n_workers_effective == len(serve_traces)
-
-    def test_single_job_falls_back_with_reason(self, serve_traces):
-        runner = ParallelRunner(n_workers=4, mode="thread")
-        self._run(runner, serve_traces[:1])
-        assert runner.n_workers_effective == 1
-        assert runner.fallback_reason == "single job"
-
-    def test_process_mode_caps_at_cpu_count(
-        self, serve_traces, monkeypatch, caplog
-    ):
-        import logging
-
-        import repro.serve.runner as runner_mod
-
-        monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 1)
-        runner = ParallelRunner(n_workers=4, mode="process")
-        with caplog.at_level(logging.INFO, logger="repro.serve.runner"):
-            results = self._run(runner, serve_traces)
-        assert runner.n_workers_effective == 1
-        assert runner.fallback_reason == "host has 1 cpu"
-        assert any(
-            "falling back to serial execution" in rec.getMessage()
-            for rec in caplog.records
-        )
-        serial = self._run(ParallelRunner(mode="serial"), serve_traces)
-        for a, b in zip(serial, results):
-            assert a.same_estimates(b)
-
-
 class TestServeSim:
     def test_aggregate_and_table(self, serve_traces):
         receivers = [(f"rx{k:02d}", t) for k, t in enumerate(serve_traces)]
@@ -325,6 +222,36 @@ class TestServeSim:
         for name, _ in receivers:
             assert name in table
         assert "sessions/s" in table
+
+    def test_worker_count_never_changes_estimates(self, serve_traces):
+        """Thread scheduling must never change per-session numbers."""
+        cfg = RimConfig(max_lag=50)
+        receivers = [(f"rx{k:02d}", t) for k, t in enumerate(serve_traces)]
+        per_session = []
+        for n_workers in (1, 3):
+            result = run_serve_sim(
+                n_workers=n_workers,
+                receivers=receivers,
+                block_seconds=0.5,
+                rim_config=cfg,
+            )
+            per_session.append(
+                {row["session"]: (row["distance_m"], row["updates"])
+                 for row in result["sessions"]}
+            )
+        direct = {}
+        for name, trace in receivers:
+            stream = StreamingRim(
+                trace.array, trace.sampling_rate, cfg, block_seconds=0.5,
+                carrier_wavelength=trace.carrier_wavelength,
+            )
+            updates = [
+                stream.push(trace.data[k], float(trace.times[k]))
+                for k in range(trace.n_samples)
+            ] + [stream.flush()]
+            n_updates = sum(u is not None for u in updates)
+            direct[name] = (stream.total_distance, n_updates)
+        assert per_session[0] == per_session[1] == direct
 
     def test_reject_policy_surfaces_in_aggregate(self, serve_traces):
         receivers = [("rx00", serve_traces[0])]
