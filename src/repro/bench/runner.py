@@ -5,12 +5,12 @@ cells, runs each cell's warmup + measured repetitions through the
 existing serving entry points, and folds the repetitions into one run
 table with a fitted capacity model:
 
-* ``shards == 0`` → :func:`repro.serve.simulate.run_serve_sim` (one
-  in-process :class:`SessionManager`, ``spec.workers`` threads);
-* ``shards >= 1`` → :func:`repro.shard.fleet.run_shard_sim` against a
-  pre-created :class:`~repro.shard.router.ShardRouter` — pre-created so
-  the fleet's delta-folded latency metrics can be snapshotted while the
-  router is still alive;
+* empty ``fault_plan`` → :func:`repro.serve.simulate.run_serve_sim`:
+  one in-process :class:`SessionManager` driven by ``spec.workers``
+  threads when ``shards == 0``, else a pre-created
+  :class:`~repro.shard.router.ShardRouter` — pre-created so the fleet's
+  delta-folded latency metrics can be snapshotted while the router is
+  still alive;
 * non-empty ``fault_plan`` → :func:`repro.net.loadgen.run_net_load`
   over a loopback server with deterministic wire faults.
 
@@ -67,53 +67,40 @@ def _latency_snapshot() -> Optional[Dict[str, Any]]:
 def _run_serve_cell(
     spec: MatrixSpec, cell: Cell, receivers, should_stop
 ) -> Dict[str, Any]:
-    from repro.serve.simulate import run_serve_sim
-
-    return run_serve_sim(
-        receivers=receivers,
-        n_workers=spec.workers,
-        backpressure=cell.backpressure,
-        queue_capacity=spec.queue_capacity,
-        block_seconds=spec.block_seconds,
-        rim_config=_rim_config(spec, cell),
-        should_stop=should_stop,
-    )
-
-
-def _run_shard_cell(
-    spec: MatrixSpec, cell: Cell, receivers, should_stop
-) -> Dict[str, Any]:
     from repro.serve.session import ServeConfig
-    from repro.shard.fleet import run_shard_sim
+    from repro.serve.simulate import run_serve_sim
     from repro.shard.router import ShardRouter
 
-    serve_config = ServeConfig(
-        queue_capacity=spec.queue_capacity,
-        backpressure=cell.backpressure,
-        block_seconds=spec.block_seconds,
-    )
-    # Pre-create the router: run_shard_sim closes routers it owns, and a
-    # closed router's metrics collector detaches before we could read
-    # the fleet's latency histogram.  Caller-owned routers stay alive
-    # until the finally below, so the snapshot sees the fleet's metrics.
-    router = ShardRouter(
-        cell.shards,
-        rim_config=_rim_config(spec, cell),
-        serve_config=serve_config,
-    )
+    # A fleet is pre-created and closed here rather than by run_serve_sim:
+    # a closed router's metrics collector detaches before we could read
+    # the fleet's latency histogram.
+    router: Optional[ShardRouter] = None
+    if cell.shards >= 1:
+        router = ShardRouter(
+            cell.shards,
+            rim_config=_rim_config(spec, cell),
+            serve_config=ServeConfig(
+                queue_capacity=spec.queue_capacity,
+                backpressure=cell.backpressure,
+                block_seconds=spec.block_seconds,
+            ),
+        )
     try:
-        result = run_shard_sim(
+        result = run_serve_sim(
             receivers=receivers,
+            n_workers=spec.workers,
             backpressure=cell.backpressure,
             queue_capacity=spec.queue_capacity,
             block_seconds=spec.block_seconds,
+            rim_config=_rim_config(spec, cell),
             should_stop=should_stop,
             router=router,
         )
         result["latency"] = _latency_snapshot()
         return result
     finally:
-        router.close()
+        if router is not None:
+            router.close()
 
 
 def _run_net_cell(
@@ -190,8 +177,6 @@ def run_cell(
     try:
         if cell.fault_plan:
             result = _run_net_cell(spec, cell, receivers, should_stop)
-        elif cell.shards >= 1:
-            result = _run_shard_cell(spec, cell, receivers, should_stop)
         else:
             result = _run_serve_cell(spec, cell, receivers, should_stop)
         if result.get("latency") is None:

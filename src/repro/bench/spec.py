@@ -33,6 +33,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
+from repro.core.config import KERNEL_BACKENDS, KERNEL_DTYPES
+
 
 class BenchError(ValueError):
     """A matrix spec, run table, or bench run is invalid."""
@@ -53,7 +55,6 @@ AXIS_DEFAULTS: Dict[str, Any] = {
     "backpressure": "block",
 }
 
-_KNOWN_DTYPES = ("float64", "float32")
 _KNOWN_POLICIES = ("block", "drop_oldest", "reject")
 
 
@@ -169,10 +170,15 @@ class MatrixSpec:
         elif axis == "shards":
             if not isinstance(value, int) or value < 0:
                 raise BenchError(f"shards values must be ints >= 0, got {value!r}")
-        elif axis == "dtype":
-            if value not in _KNOWN_DTYPES:
+        elif axis == "kernel":
+            if value not in KERNEL_BACKENDS:
                 raise BenchError(
-                    f"dtype values must be one of {_KNOWN_DTYPES}, got {value!r}"
+                    f"kernel values must be one of {KERNEL_BACKENDS}, got {value!r}"
+                )
+        elif axis == "dtype":
+            if value not in KERNEL_DTYPES:
+                raise BenchError(
+                    f"dtype values must be one of {KERNEL_DTYPES}, got {value!r}"
                 )
         elif axis == "backpressure":
             if value not in _KNOWN_POLICIES:
@@ -180,11 +186,9 @@ class MatrixSpec:
                     f"backpressure values must be one of {_KNOWN_POLICIES}, "
                     f"got {value!r}"
                 )
-        elif axis in ("kernel", "fault_plan"):
+        elif axis == "fault_plan":
             if not isinstance(value, str):
                 raise BenchError(f"{axis} values must be strings, got {value!r}")
-            if axis == "kernel" and not value:
-                raise BenchError("kernel values must be non-empty backend names")
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "MatrixSpec":

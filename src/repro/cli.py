@@ -10,7 +10,7 @@ Usage::
     python -m repro.cli serve-sim            # concurrent multi-receiver replay
     python -m repro.cli record --out DIR     # record a simulated receiver
     python -m repro.cli replay DIR           # integrity-checked store replay
-    python -m repro.cli convert SRC DEST     # legacy .npz <-> chunked store
+    python -m repro.cli convert SRC DEST     # legacy .npz -> chunked store
     python -m repro.cli net-serve            # TCP ingestion server
     python -m repro.cli net-load             # network load client (loopback
                                              # by default; --fault-plan for
@@ -207,7 +207,7 @@ def cmd_demo(args) -> int:
     if args.trace:
         obs.reset()
         obs.enable()
-    rim = Rim(RimConfig(max_lag=60, kernel_backend=args.kernel))
+    rim = Rim(RimConfig(max_lag=60))
     result = rim.process(trace)
     err_cm = abs(result.total_distance - truth.total_distance) * 100
     print(f"simulated a {truth.total_distance:.1f} m push past a single unknown AP")
@@ -229,34 +229,19 @@ def cmd_serve_sim(args) -> int:
     from repro.shutdown import GracefulShutdown
 
     with _telemetry(args), GracefulShutdown() as stop:
-        if args.shards:
-            from repro.shard import render_shard_table, run_shard_sim
-
-            result = run_shard_sim(
-                n_sessions=args.sessions,
-                shards=args.shards,
-                seed=args.seed,
-                duration_s=args.duration,
-                backpressure=args.policy,
-                queue_capacity=args.queue_capacity,
-                block_seconds=args.block_seconds,
-                store_dir=args.store_dir,
-                record_dir=args.record_dir,
-                should_stop=stop.stopper(),
-            )
-        else:
-            result = run_serve_sim(
-                n_sessions=args.sessions,
-                n_workers=args.workers,
-                seed=args.seed,
-                duration_s=args.duration,
-                backpressure=args.policy,
-                queue_capacity=args.queue_capacity,
-                block_seconds=args.block_seconds,
-                store_dir=args.store_dir,
-                record_dir=args.record_dir,
-                should_stop=stop.stopper(),
-            )
+        result = run_serve_sim(
+            n_sessions=args.sessions,
+            n_workers=args.workers,
+            seed=args.seed,
+            duration_s=args.duration,
+            backpressure=args.policy,
+            queue_capacity=args.queue_capacity,
+            block_seconds=args.block_seconds,
+            store_dir=args.store_dir,
+            record_dir=args.record_dir,
+            should_stop=stop.stopper(),
+            shards=args.shards,
+        )
     if stop.triggered:
         print(
             f"{stop.signal_name}: replay stopped early; sessions drained "
@@ -268,26 +253,10 @@ def cmd_serve_sim(args) -> int:
         if args.store_dir
         else f"{args.sessions} simulated receivers"
     )
-    if args.shards:
-        print(
-            f"replaying {source} over {args.shards} shard processes "
-            f"(policy {args.policy!r})"
-        )
-        print()
-        print(render_shard_table(result))
-        agg = result["aggregate"]
-        if agg["degraded_blocks"] or agg["rejected"]:
-            print()
-            print(
-                f"warning: {agg['degraded_blocks']} degraded blocks, "
-                f"{agg['rejected']} rejected packets",
-                file=sys.stderr,
-            )
-        return 0
-    print(
-        f"replaying {source} over "
-        f"{args.workers} workers (policy {args.policy!r})"
+    over = (
+        f"{args.shards} shard processes" if args.shards else f"{args.workers} workers"
     )
+    print(f"replaying {source} over {over} (policy {args.policy!r})")
     print()
     print(render_serve_table(result))
     agg = result["aggregate"]
@@ -698,22 +667,17 @@ def cmd_obs_top(args) -> int:
 def cmd_convert(args) -> int:
     from pathlib import Path
 
-    from repro.store import npz_to_store, store_to_npz
-    from repro.store.format import MANIFEST_NAME
+    from repro.store import npz_to_store
 
     src = Path(args.src)
-    if src.is_dir() and (src / MANIFEST_NAME).is_file():
-        n = store_to_npz(src, args.dest, policy=args.guard)
-        print(f"converted store {src} -> legacy archive {args.dest} ({n} samples)")
-    elif src.is_file():
-        writer = npz_to_store(src, args.dest, chunk_samples=args.chunk_samples)
-        print(
-            f"converted legacy archive {src} -> store {args.dest} "
-            f"({writer.n_chunks} chunks, {writer.n_samples} samples)"
-        )
-    else:
-        print(f"{src} is neither a trace store nor an .npz archive", file=sys.stderr)
+    if not src.is_file():
+        print(f"{src} is not a legacy .npz archive", file=sys.stderr)
         return 2
+    writer = npz_to_store(src, args.dest, chunk_samples=args.chunk_samples)
+    print(
+        f"converted legacy archive {src} -> store {args.dest} "
+        f"({writer.n_chunks} chunks, {writer.n_samples} samples)"
+    )
     return 0
 
 
@@ -773,13 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="enable repro.obs instrumentation and print span/metric tables",
     )
-    demo.add_argument(
-        "--kernel",
-        default="auto",
-        metavar="BACKEND",
-        help='alignment kernel backend ("auto", "reference", "batched"; '
-        "auto honors the RIM_KERNEL env var)",
-    )
     sub.add_parser("list", help="list reproducible figures")
 
     run = sub.add_parser("run", help="regenerate a paper figure")
@@ -796,7 +753,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--sessions", type=int, default=8, help="simulated receiver count"
     )
     serve.add_argument(
-        "--workers", type=int, default=4, help="worker threads driving sessions"
+        "--workers", type=int, default=4,
+        help="threads driving the sessions of an in-process run",
     )
     serve.add_argument(
         "--shards", type=int, default=0, metavar="N",
@@ -1057,18 +1015,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     convert = sub.add_parser(
-        "convert", help="convert legacy .npz <-> chunked trace store"
+        "convert", help="import a legacy .npz archive into a chunked trace store"
     )
-    convert.add_argument("src", help=".npz archive or store directory")
-    convert.add_argument("dest", help="destination (direction is inferred)")
+    convert.add_argument("src", help="legacy .npz archive")
+    convert.add_argument("dest", help="destination store directory")
     convert.add_argument(
         "--chunk-samples", type=int, default=256,
-        help="packets per chunk file (npz -> store direction)",
-    )
-    convert.add_argument(
-        "--guard", default="raise", choices=("raise", "drop", "repair"),
-        help="store read policy (store -> npz direction); the default "
-        "refuses to archive a corrupt store",
+        help="packets per chunk file",
     )
     return parser
 

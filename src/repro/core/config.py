@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+KERNEL_BACKENDS = ("batched", "reference")
+KERNEL_DTYPES = ("float64", "float32")
+
 
 @dataclass
 class RimConfig:
@@ -67,19 +70,14 @@ class RimConfig:
             degradation policy holds the last good speed and marks heading
             unresolved instead of estimating from too little geometry.
         kernel_backend: Which TRRS kernel backend serves the alignment hot
-            path (``repro.perf``): "reference" (serial per-pair oracle),
-            "batched" (one einsum per lag across all pairs, with row
-            reuse), or "auto" — the ``RIM_KERNEL`` env var when set, else
-            "batched".  All backends are numerically equivalent.
-        kernel_threads: Thread-pool width for the batched backend's
-            per-lag fan-out (the einsum inner products release the GIL);
-            0 means serial.  Ignored by the reference backend.
+            path (``repro.perf``): "batched" (default; BLAS band GEMMs
+            over a shared row store, with row reuse) or "reference" (the
+            serial per-pair oracle the tests compare against).  Both are
+            numerically equivalent.
         kernel_dtype: Precision of the batched TRRS and DP kernels:
             "float64" (default; bit-compatible with the reference
-            oracle), "float32" (opt-in single precision — roughly 2x
-            GEMM throughput within the error budget documented in
-            ``docs/performance.md``), or "auto" — the
-            ``RIM_KERNEL_DTYPE`` env var when set, else "float64".  The
+            oracle) or "float32" (opt-in single precision within the
+            error budget documented in ``docs/performance.md``).  The
             reference backend always computes in float64.
         stream_reuse: Let :class:`~repro.core.streaming.StreamingRim`
             reuse the previous block's TRRS rows instead of recomputing
@@ -126,9 +124,8 @@ class RimConfig:
     guard_max_drift: float = 0.01
     health_min_pairs: int = 1
 
-    kernel_backend: str = "auto"
-    kernel_threads: int = 0
-    kernel_dtype: str = "auto"
+    kernel_backend: str = "batched"
+    kernel_dtype: str = "float64"
     stream_reuse: bool = True
 
     def __post_init__(self) -> None:
@@ -168,15 +165,13 @@ class RimConfig:
             raise ValueError("guard_max_drift must be positive")
         if self.health_min_pairs < 0:
             raise ValueError("health_min_pairs must be >= 0")
-        if not self.kernel_backend or not isinstance(self.kernel_backend, str):
+        if self.kernel_backend not in KERNEL_BACKENDS:
             raise ValueError(
-                f"kernel_backend must be a backend name or 'auto', "
+                f"kernel_backend must be one of {KERNEL_BACKENDS}, "
                 f"got {self.kernel_backend!r}"
             )
-        if self.kernel_threads < 0:
-            raise ValueError("kernel_threads must be >= 0")
-        if self.kernel_dtype not in ("auto", "float64", "float32"):
+        if self.kernel_dtype not in KERNEL_DTYPES:
             raise ValueError(
-                f"kernel_dtype must be 'float64', 'float32', or 'auto', "
+                f"kernel_dtype must be one of {KERNEL_DTYPES}, "
                 f"got {self.kernel_dtype!r}"
             )

@@ -51,7 +51,7 @@ from repro.core.pairs import (
 )
 from repro.core.sanitize import sanitize_trace
 from repro.core.trrs import normalize_csi
-from repro.perf import get_backend
+from repro.perf.kernels import BatchedBackend, KernelBackend, ReferenceBackend
 from repro.robustness.guard import guard_trace
 from repro.robustness.health import HealthReport, apply_degradation, build_health
 
@@ -104,13 +104,17 @@ class Rim:
 
     def __init__(self, config: Optional[RimConfig] = None):
         self.config = config or RimConfig()
-        # Which TRRS kernel implementation serves the alignment hot path;
-        # resolved once at construction (config > $RIM_KERNEL > default).
-        self._kernel = get_backend(self.config)
+        # The reference oracle always computes in float64; only the
+        # batched kernels honour the opt-in precision.
+        self._kernel: KernelBackend
+        if self.config.kernel_backend == "reference":
+            self._kernel = ReferenceBackend()
+        else:
+            self._kernel = BatchedBackend(dtype=self.config.kernel_dtype)
 
     @property
     def kernel_backend(self) -> str:
-        """Name of the resolved kernel backend (see ``repro.perf``)."""
+        """Name of the kernel backend serving this pipeline (see ``repro.perf``)."""
         return self._kernel.name
 
     def process(

@@ -1,20 +1,20 @@
-"""CSI trace persistence: the legacy whole-trace ``.npz`` format.
+"""CSI trace persistence: reading the legacy whole-trace ``.npz`` format.
 
 A real deployment records CSI once and reprocesses it many times (tuning
 configs, comparing algorithms), so traces need a stable on-disk format.
-This module is the **legacy** one: everything required to rebuild the
-trace — samples, ground truth, array geometry, AP positions — goes into
-one compressed NumPy archive written in a single shot.
+That format is the chunked, append-only, integrity-checked store of
+:mod:`repro.store`, the only trace writer.  This module keeps
+:func:`load_trace` for existing single-file ``.npz`` archives, which
+``python -m repro.cli convert`` (:func:`repro.store.npz_to_store`)
+imports into a store, and holds the pieces both formats share
+(format-version validation, array/trajectory manifest codecs) so the two
+loaders cannot drift apart.
 
-.. deprecated::
-    :func:`save_trace` / :func:`load_trace` are kept as thin wrappers for
-    existing ``.npz`` archives and small one-shot traces.  New code should
-    use :mod:`repro.store` — the chunked, append-only, integrity-checked
-    trace store — which can append while recording, detect corruption,
-    and resume a half-processed stream.  ``python -m repro.cli convert``
-    migrates archives in either direction, and the pieces both formats
-    share (format-version validation, array/trajectory manifest codecs)
-    live here so the two loaders cannot drift apart.
+The archive layout (format version 1) is one compressed NumPy archive
+with the entries ``format_version``, ``data``, ``times``,
+``tx_positions``, ``carrier_wavelength``, ``array_name``,
+``array_positions``, ``array_nics``, ``array_circular``, ``traj_times``,
+``traj_positions`` and ``traj_orientations``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ import numpy as np
 from repro.arrays.geometry import AntennaArray
 from repro.channel.sampler import CsiTrace
 from repro.motionsim.trajectory import Trajectory
-
-_FORMAT_VERSION = 1
 
 # Every .npz format version this build can read.  repro.store keeps its
 # own (binary chunk) version constant but funnels it through the same
@@ -123,39 +121,11 @@ def trajectory_from_manifest(payload: Dict[str, Any]) -> Trajectory:
     )
 
 
-# -- legacy .npz wrappers ------------------------------------------------------
-
-
-def save_trace(path, trace: CsiTrace) -> None:
-    """Write a CSI trace to ``path`` (.npz, compressed).  **Legacy format.**
-
-    Thin wrapper kept for existing archives; new recordings should use
-    :func:`repro.store.write_trace` (chunked, appendable, CRC-checked).
-
-    Args:
-        path: Destination file path (suffix .npz recommended).
-        trace: The trace to persist.
-    """
-    path = Path(path)
-    np.savez_compressed(
-        path,
-        format_version=np.int64(_FORMAT_VERSION),
-        data=trace.data,
-        times=trace.times,
-        tx_positions=trace.tx_positions,
-        carrier_wavelength=np.float64(trace.carrier_wavelength),
-        array_name=np.bytes_(trace.array.name.encode()),
-        array_positions=trace.array.local_positions,
-        array_nics=trace.array.nic_assignment,
-        array_circular=np.bool_(trace.array.circular),
-        traj_times=trace.trajectory.times,
-        traj_positions=trace.trajectory.positions,
-        traj_orientations=trace.trajectory.orientations,
-    )
+# -- legacy .npz reader --------------------------------------------------------
 
 
 def load_trace(path) -> CsiTrace:
-    """Read a CSI trace written by :func:`save_trace`.  **Legacy format.**
+    """Read a CSI trace from a legacy ``.npz`` archive (layout above).
 
     Unknown ``format_version`` values are rejected through the shared
     :func:`check_format_version` helper (also used by the chunked store),

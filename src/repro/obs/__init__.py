@@ -8,11 +8,11 @@ to.  It owns one process-wide :class:`~repro.obs.trace.Tracer` and one
   returns a shared null context manager and the metric helpers return
   immediately, so production streams pay nothing and numerics are
   untouched;
-* when **enabled** (``obs.enable()``, ``repro.cli demo --trace``, or the
-  ``profile`` subcommand) the hot paths record per-stage wall time, call
-  counts, input shapes, and work counters, and ``Rim.process`` /
-  ``StreamingRim`` attach a ``stats`` dict to their results the same way
-  ``health`` flows today.
+* when **enabled** (``obs.enable()``, ``repro.cli demo --trace``, or a
+  traced benchmark run, ``perfbench/run.py --trace 1``) the hot paths
+  record per-stage wall time, call counts, input shapes, and work
+  counters, and ``Rim.process`` / ``StreamingRim`` attach a ``stats``
+  dict to their results the same way ``health`` flows today.
 
 Typical profiling session::
 

@@ -1,18 +1,19 @@
 """``repro.perf`` — kernel backends for the alignment hot path.
 
-The package owns the *kernel backend registry* (which implementation of
-the TRRS/alignment kernels the pipeline runs), the batched kernels
-themselves, and the streaming cross-block row cache:
+The package holds the TRRS/alignment kernels the pipeline runs and the
+streaming cross-block row cache:
 
-* :mod:`repro.perf.registry` — backend selection via
-  ``RimConfig.kernel_backend`` / the ``RIM_KERNEL`` env var;
-* :mod:`repro.perf.kernels` — ``reference`` (the serial oracle) and
-  ``batched`` (one einsum per lag across all pairs, with cell reuse);
+* :mod:`repro.perf.kernels` — ``batched`` (the default: BLAS band GEMMs
+  over a shared row store, with cell reuse) and ``reference`` (the
+  serial per-pair oracle the tests compare against);
+* :mod:`repro.perf.dptrack` — batched DP peak tracking, a native banded
+  kernel with an exact numpy fallback;
 * :mod:`repro.perf.streamcache` — incremental reuse of the context
   window's TRRS rows across streaming blocks.
 
-All backends are numerically equivalent; ``batched`` is the default.
-See ``docs/performance.md``.
+``Rim`` builds its backend from two ``RimConfig`` fields,
+``kernel_backend`` and ``kernel_dtype``.  Both backends are numerically
+equivalent.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -24,46 +25,14 @@ from repro.perf.kernels import (
     ReferenceBackend,
 )
 from repro.perf.dptrack import dp_track_batch, native_available
-from repro.perf.registry import (
-    DEFAULT_BACKEND,
-    DEFAULT_KERNEL_DTYPE,
-    RIM_KERNEL_DTYPE_ENV,
-    RIM_KERNEL_ENV,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend_name,
-    resolve_kernel_dtype,
-)
 from repro.perf.streamcache import StreamAlignmentCache
 
-# The reference oracle is always float64 — it defines the numbers every
-# other backend is measured against; only batched kernels honour the
-# opt-in precision.
-register_backend("reference", lambda config: ReferenceBackend())
-register_backend(
-    "batched",
-    lambda config: BatchedBackend(
-        threads=getattr(config, "kernel_threads", 0),
-        dtype=resolve_kernel_dtype(config),
-    ),
-)
-
 __all__ = [
-    "DEFAULT_BACKEND",
-    "DEFAULT_KERNEL_DTYPE",
-    "RIM_KERNEL_DTYPE_ENV",
-    "RIM_KERNEL_ENV",
     "BaseRowStore",
     "BatchedBackend",
     "KernelBackend",
     "ReferenceBackend",
     "StreamAlignmentCache",
-    "available_backends",
     "dp_track_batch",
-    "get_backend",
     "native_available",
-    "register_backend",
-    "resolve_backend_name",
-    "resolve_kernel_dtype",
 ]

@@ -22,9 +22,9 @@ its ``track_paths`` capability: the forward pass runs over a whole
 Both paths produce bit-identical backpointers, tie decisions, and scores
 relative to the reference recursion — enforced by
 ``tests/test_tracking_dp.py`` and ``tests/test_kernel_backends.py`` —
-so which one serves a request is purely a speed question.  Compilation
-failures (no compiler, sandboxed filesystem, exotic platform) silently
-select the fallback; set ``RIM_DP_NATIVE=0`` to force it.
+so which one serves a request is purely a speed question.  The native
+kernel serves whenever it builds and loads; compilation failures (no
+compiler, sandboxed filesystem, exotic platform) select the fallback.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-RIM_DP_NATIVE_ENV = "RIM_DP_NATIVE"  # "0" disables the compiled kernel
 RIM_DP_CACHE_ENV = "RIM_DP_CACHE_DIR"  # overrides the .so cache directory
 
 _SOURCE = Path(__file__).with_name("_dptrack.c")
@@ -86,8 +85,6 @@ def _compile(source: Path, out: Path) -> bool:
 def _load_native() -> Optional[ctypes.CDLL]:
     """The compiled kernel library, building it on first use; None if not."""
     global _lib, _load_attempted
-    if os.environ.get(RIM_DP_NATIVE_ENV, "1") == "0":
-        return None
     if _load_attempted:
         return _lib
     with _lock:

@@ -224,9 +224,6 @@ class BatchedBackend(KernelBackend):
     """Batched einsum kernels over a :class:`BaseRowStore`.
 
     Args:
-        threads: Fan the per-lag columns out over a thread pool of this
-            size (the einsum inner products release the GIL for the bulk
-            of their work).  ``0``/``1`` means serial.
         dtype: Kernel precision: ``"float64"`` (default) reproduces the
             reference oracle bit for bit / within the 1e-9 GEMM budget;
             ``"float32"`` opts in to single-precision TRRS and DP
@@ -236,8 +233,7 @@ class BatchedBackend(KernelBackend):
 
     name = "batched"
 
-    def __init__(self, threads: int = 0, dtype: str = "float64"):
-        self.threads = int(threads)
+    def __init__(self, dtype: str = "float64"):
         dtype = str(dtype)
         if dtype not in ("float64", "float32"):
             raise ValueError(f"unsupported kernel dtype {dtype!r}")
@@ -317,7 +313,7 @@ class BatchedBackend(KernelBackend):
             time_stride=time_stride,
         ):
             rows = np.arange(0, t, time_stride) if time_stride > 1 else None
-            fresh_cells = _compute_cells(store, pairs, rows, self.threads)
+            fresh_cells = _compute_cells(store, pairs, rows)
             obs.add("alignment.matrices", len(pairs))
             obs.add("alignment.cells", fresh_cells)
 
@@ -366,7 +362,6 @@ def _compute_cells(
     store: BaseRowStore,
     pairs: Sequence,
     rows: Optional[np.ndarray],
-    threads: int,
 ) -> int:
     """Evaluate all requested-but-unknown cells for ``pairs``; count them.
 
@@ -426,12 +421,9 @@ def _compute_cells(
         n_k, s2 = real.shape[0], real.shape[3]
     # Interior chunks of equal size share identical band geometry — the
     # index prep depends only on (rows, left offset, window width), so
-    # one entry serves every job but the first/last (benign data race
-    # under threads: a lost update just recomputes).
+    # one entry serves every job but the first/last.
     gemm_prep: Dict[Tuple[int, int, int], Tuple[np.ndarray, ...]] = {}
-
-    def run_gemm(job: Tuple[int, int, int]) -> None:
-        p_idx, r0, r1 = job
+    for p_idx, r0, r1 in gemm_jobs:
         u0, u1 = max(0, r0 - w), min(t, r1 + w)
         nu = u1 - u0
         prep_key = (r1 - r0, r0 - u0, nu)
@@ -463,30 +455,27 @@ def _compute_cells(
         np.copyto(values[r0:r1], np.where(valid, band_vals, np.nan))
         known[r0:r1] |= valid
 
-    # Per-lag gather jobs for the scattered rows.  Only the scattered
-    # rows are conjugated — a strided pre-screen touches a small subset
-    # of the trace, and the gather kernel should stay O(that subset).
+    # Per-lag gather for the scattered rows.  Only the scattered rows
+    # are conjugated — a strided pre-screen touches a small subset of
+    # the trace, and the gather kernel should stay O(that subset).
+    sc_any = [sn for sn in sc_needed if sn is not None]
+    if not sc_any:
+        return fresh
     i_idx = [k[0] for k in keys]
     j_idx = [k[1] for k in keys]
-    einsum_jobs: List[Tuple[int, np.ndarray]] = []
-    sc_any = [sn for sn in sc_needed if sn is not None]
-    if sc_any:
-        sc_union = sc_any[0].copy()
-        for sn in sc_any[1:]:
-            sc_union |= sn
-        scat_rows = np.nonzero(sc_union.any(axis=1))[0]
-        stack_i = np.conj(
-            store.norm[np.ix_(scat_rows, i_idx)].transpose(1, 0, 2, 3)
-        )  # (P, Rs, K, S)
-        row_pos = np.zeros(t, dtype=np.intp)
-        row_pos[scat_rows] = np.arange(scat_rows.size)
-        for col in range(n_lags):
-            rws = np.nonzero(sc_union[:, col])[0]
-            if rws.size:
-                einsum_jobs.append((col, rws))
-
-    def run_einsum(job: Tuple[int, np.ndarray]) -> None:
-        col, rws = job
+    sc_union = sc_any[0].copy()
+    for sn in sc_any[1:]:
+        sc_union |= sn
+    scat_rows = np.nonzero(sc_union.any(axis=1))[0]
+    stack_i = np.conj(
+        store.norm[np.ix_(scat_rows, i_idx)].transpose(1, 0, 2, 3)
+    )  # (P, Rs, K, S)
+    row_pos = np.zeros(t, dtype=np.intp)
+    row_pos[scat_rows] = np.arange(scat_rows.size)
+    for col in range(n_lags):
+        rws = np.nonzero(sc_union[:, col])[0]
+        if not rws.size:
+            continue
         lag = col - w
         a = stack_i[:, row_pos[rws]].transpose(1, 0, 2, 3)  # (R, P, K, S)
         b = store.norm[np.ix_(rws - lag, j_idx)]
@@ -504,20 +493,4 @@ def _compute_cells(
             rsel = rws[m]
             values[rsel, col] = vals[m, p_idx]
             known[rsel, col] = True
-
-    jobs = [(run_gemm, j) for j in gemm_jobs] + [
-        (run_einsum, j) for j in einsum_jobs
-    ]
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # Each (pair, row) cell has exactly one writer: GEMM jobs own
-        # disjoint (pair, row-range) blocks and einsum jobs write only a
-        # pair's scattered cells in disjoint columns, so shared arrays
-        # are safe.
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda fj: fj[0](fj[1]), jobs))
-    else:
-        for fn, job in jobs:
-            fn(job)
     return fresh

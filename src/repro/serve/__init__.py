@@ -13,9 +13,10 @@ independent receivers at once.
   counts surface in the session's per-block
   :class:`~repro.robustness.health.HealthReport`.
 * :func:`~repro.serve.simulate.run_serve_sim` replays N simulated
-  receivers concurrently (the ``repro.cli serve-sim`` verb); per-session
-  results are bit-identical whatever the worker count.  Process-level
-  parallelism is :mod:`repro.shard`.
+  receivers concurrently (the ``repro.cli serve-sim`` verb), in this
+  process or, with ``shards=N``, through a :mod:`repro.shard` fleet;
+  per-session results are bit-identical whatever the worker or shard
+  count.
 
 Concurrency contract: sessions are independent — different sessions may
 be driven from different threads freely.  A single session is a

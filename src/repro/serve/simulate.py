@@ -2,11 +2,12 @@
 
 Builds N simulated receivers walking different lines through the standard
 office testbed, replays them **concurrently** through one
-:class:`~repro.serve.session.SessionManager` (each receiver driven by a
-worker thread, exercising the bounded queues and backpressure policy for
+:class:`~repro.serve.session.SessionManager` or a
+:class:`~repro.shard.router.ShardRouter` fleet (each receiver driven by a
+sender thread, exercising the bounded queues and backpressure policy for
 real), and aggregates throughput and health into one table — the
-smoke-test story for the serving layer, and what CI's concurrency-soak
-job runs.
+smoke-test story for the serving layer, what CI's concurrency-soak job
+runs, and what ``repro.bench`` times.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.arrays.geometry import linear_array
 from repro.channel.sampler import CsiTrace
@@ -22,6 +23,9 @@ from repro.core.config import RimConfig
 from repro.serve.session import ServeConfig, SessionManager
 from repro.store.format import MANIFEST_NAME, StoreError
 from repro.store.reader import TraceReader
+
+if TYPE_CHECKING:
+    from repro.shard.router import ShardRouter
 
 
 def simulated_receivers(
@@ -84,28 +88,26 @@ def store_receivers(
     return receivers
 
 
-def _replay_into_manager(
-    manager: SessionManager,
+def _replay(
+    target: Union[SessionManager, "ShardRouter"],
     name: str,
     trace: CsiTrace,
     should_stop: Optional[Callable[[], bool]] = None,
 ) -> Dict[str, Any]:
-    """Push one receiver's packets through its managed session."""
-    statuses: Dict[str, int] = {}
+    """Push one receiver's packets into its session, then poll its updates."""
     t0 = time.perf_counter()
+    n_pushed = 0
     for k in range(trace.n_samples):
         if should_stop is not None and should_stop():
             break
-        status = manager.push(name, trace.data[k], float(trace.times[k]))
-        statuses[status] = statuses.get(status, 0) + 1
-    updates = manager.poll(name)
-    wall = time.perf_counter() - t0
+        target.push(name, trace.data[k], float(trace.times[k]))
+        n_pushed += 1
+    updates = target.poll(name)
     return {
         "session": name,
-        "n_samples": trace.n_samples,
+        "n_samples": n_pushed,
         "n_updates": len(updates),
-        "statuses": statuses,
-        "wall_s": wall,
+        "wall_s": time.perf_counter() - t0,
     }
 
 
@@ -122,16 +124,28 @@ def run_serve_sim(
     store_dir=None,
     record_dir=None,
     should_stop: Optional[Callable[[], bool]] = None,
+    shards: int = 0,
+    router: Optional["ShardRouter"] = None,
 ) -> Dict[str, Any]:
-    """Replay N simulated receivers concurrently through a SessionManager.
+    """Replay N receivers concurrently through one manager or a shard fleet.
 
-    Instrumentation follows the caller's :mod:`repro.obs` state, as in
-    :func:`repro.shard.fleet.run_shard_sim`: bench cells and the CLI
-    telemetry flags enable it; a plain run measures with tracing off.
+    With ``shards == 0`` and no ``router``, one in-process
+    :class:`SessionManager` serves every session and ``n_workers``
+    threads drive them.  Otherwise a
+    :class:`~repro.shard.router.ShardRouter` fleet serves them and one
+    sender thread per receiver drives it; the timed window starts after
+    :meth:`~repro.shard.router.ShardRouter.wait_ready` and session
+    creation, so worker startup never pollutes a throughput measurement.
+    Either way the window covers pushes, the end-of-stream flush, and
+    update delivery.
+
+    Instrumentation follows the caller's :mod:`repro.obs` state: bench
+    cells and the CLI telemetry flags enable it; a plain run measures
+    with tracing off.
 
     Args:
         n_sessions: Number of simulated receivers.
-        n_workers: Worker threads driving the sessions.
+        n_workers: Threads driving the sessions of an in-process run.
         seed: Testbed seed.
         duration_s: Per-receiver trajectory duration, seconds.
         backpressure: Full-queue policy for every session.
@@ -145,14 +159,21 @@ def run_serve_sim(
             simulating; overrides ``n_sessions``/``seed``/``duration_s``.
         record_dir: Record every session's ingest into chunked stores
             under this directory (``record_dir/<session>``).
-        should_stop: Polled between packets by every replay worker;
+        should_stop: Polled between packets by every replay thread;
             returning True stops the replays early — queued packets are
             still drained and sessions flushed (graceful shutdown).
+        shards: Serve through a fleet of this many worker processes.
+        router: Drive an existing fleet instead of spawning one (bench
+            cells read the fleet's metrics before closing it); the
+            caller keeps ownership and must close it.
 
     Returns:
-        A dict with ``sessions`` (per-session serving stats + replay
-        wall), ``aggregate`` (wall, sessions/sec, samples/sec, shed /
-        reject / degraded totals), and the run's configuration.
+        A dict with ``sessions`` (per-session serving stats, updates
+        delivered by polls and the final flush, replay wall),
+        ``aggregate`` (wall, sessions/sec, samples/sec over the pushed
+        packets, shed / reject / degraded totals; ``n_workers`` for an
+        in-process run, shard count, liveness, failovers and placement
+        for a sharded one), and the run's configuration.
     """
     if receivers is None:
         if store_dir is not None:
@@ -167,36 +188,60 @@ def run_serve_sim(
         backpressure=backpressure,
         block_seconds=block_seconds,
     )
-    manager = SessionManager(
-        rim_config=rim_config, serve_config=serve_config, record_dir=record_dir
-    )
-    for name, trace in receivers:
-        manager.create(name, trace.array, trace.sampling_rate,
-                       carrier_wavelength=trace.carrier_wavelength)
-    t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=max(1, n_workers)) as pool:
-        replays = list(
-            pool.map(
-                lambda rx: _replay_into_manager(
-                    manager, rx[0], rx[1], should_stop=should_stop
-                ),
-                receivers,
-            )
-        )
-    manager.flush_all()
-    wall = time.perf_counter() - t0
+    target: Union[SessionManager, "ShardRouter"]
+    own_router = router is None and shards > 0
+    if router is not None:
+        target = router
+    elif shards > 0:
+        # Imported here: repro.shard builds on this package.
+        from repro.shard import router as shard_router
 
-    session_stats = manager.stats()
+        target = shard_router.ShardRouter(
+            shards,
+            rim_config=rim_config,
+            serve_config=serve_config,
+            record_dir=record_dir,
+        )
+    else:
+        target = SessionManager(
+            rim_config=rim_config, serve_config=serve_config, record_dir=record_dir
+        )
+    try:
+        if isinstance(target, SessionManager):
+            n_threads = max(1, n_workers)
+        else:
+            target.wait_ready()
+            n_threads = n_sessions
+        for name, trace in receivers:
+            target.create(name, trace.array, trace.sampling_rate,
+                          carrier_wavelength=trace.carrier_wavelength)
+        t0 = time.perf_counter()
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            replays = list(
+                pool.map(
+                    lambda rx: _replay(target, rx[0], rx[1], should_stop=should_stop),
+                    receivers,
+                )
+            )
+        finals = target.flush_all()
+        wall = time.perf_counter() - t0
+
+        session_stats = target.stats()
+        fleet = None if isinstance(target, SessionManager) else target.fleet_stats()
+    finally:
+        if own_router:
+            target.close()
+
     by_name = {r["session"]: r for r in replays}
     for row in session_stats:
-        replay = by_name.get(str(row["session"]), {})
-        row["n_updates"] = replay.get("n_updates", 0)
+        name = str(row["session"])
+        replay = by_name.get(name, {})
+        row["n_updates"] = replay.get("n_updates", 0) + len(finals.get(name, []))
         row["replay_wall_s"] = replay.get("wall_s", 0.0)
 
-    total_samples = sum(trace.n_samples for _, trace in receivers)
-    aggregate = {
+    total_samples = sum(r["n_samples"] for r in replays)
+    aggregate: Dict[str, Any] = {
         "n_sessions": n_sessions,
-        "n_workers": n_workers,
         "wall_s": wall,
         "sessions_per_second": n_sessions / wall if wall > 0 else 0.0,
         "samples_per_second": total_samples / wall if wall > 0 else 0.0,
@@ -211,39 +256,60 @@ def run_serve_sim(
             int(row["degraded_blocks"]) for row in session_stats
         ),
     }
-    return {
-        "config": {
-            "backpressure": backpressure,
-            "queue_capacity": queue_capacity,
-            "block_seconds": block_seconds,
-            "duration_s": duration_s,
-            "seed": seed,
-        },
-        "sessions": session_stats,
-        "aggregate": aggregate,
+    config: Dict[str, Any] = {
+        "backpressure": backpressure,
+        "queue_capacity": queue_capacity,
+        "block_seconds": block_seconds,
+        "duration_s": duration_s,
+        "seed": seed,
     }
+    if fleet is None:
+        aggregate["n_workers"] = n_workers
+    else:
+        aggregate.update(
+            shards=fleet["n_shards"],
+            alive_shards=len(fleet["alive"]),
+            failovers=fleet["failovers"],
+            sessions_per_shard=fleet["sessions_per_shard"],
+            start_method=fleet["start_method"],
+        )
+        config["shards"] = fleet["n_shards"]
+    return {"config": config, "sessions": session_stats, "aggregate": aggregate}
 
 
 def render_serve_table(result: Dict[str, Any]) -> str:
-    """Human-readable per-session health + aggregate throughput table."""
+    """Human-readable per-session health + aggregate throughput table.
+
+    A sharded run adds a shard column and a placement line.
+    """
     rows = result["sessions"]
     agg = result["aggregate"]
+    sharded = "shards" in agg
+    shard_col = f" {'shard':<9}" if sharded else ""
     header = (
-        f"{'session':<8} {'samples':>8} {'blocks':>7} {'dist m':>8} "
+        f"{'session':<8}{shard_col} {'samples':>8} {'blocks':>7} {'dist m':>8} "
         f"{'queued':>7} {'blocked':>8} {'shed':>6} {'reject':>7} {'degr':>5}"
     )
     lines = [header, "-" * len(header)]
     for row in rows:
+        shard = f" {str(row.get('shard', '?')):<9}" if sharded else ""
         lines.append(
-            f"{str(row['session']):<8} {int(row['processed']):>8} "
+            f"{str(row['session']):<8}{shard} {int(row['processed']):>8} "
             f"{int(row['updates']):>7} {float(row['distance_m']):>8.3f} "
             f"{int(row['queued']):>7} {int(row['blocked']):>8} "
             f"{int(row['shed']):>6} {int(row['rejected']):>7} "
             f"{int(row['degraded_blocks']):>5}"
         )
+    if sharded:
+        over = (
+            f"{agg['shards']} shards ({agg['alive_shards']} alive, "
+            f"{agg['failovers']} failovers)"
+        )
+    else:
+        over = f"{agg['n_workers']} workers"
     lines += [
         "-" * len(header),
-        f"{agg['n_sessions']} sessions over {agg['n_workers']} workers: "
+        f"{agg['n_sessions']} sessions over {over}: "
         f"{agg['wall_s'] * 1e3:.1f} ms wall "
         f"({agg['sessions_per_second']:.2f} sessions/s, "
         f"{agg['samples_per_second']:.0f} samples/s aggregate)",
@@ -252,4 +318,12 @@ def render_serve_table(result: Dict[str, Any]) -> str:
         f"{agg['blocked']} blocked, {agg['shed']} shed, "
         f"{agg['rejected']} rejected, {agg['degraded_blocks']} degraded blocks",
     ]
+    if sharded:
+        lines.append(
+            "placement: "
+            + ", ".join(
+                f"{shard}={count}"
+                for shard, count in sorted(agg["sessions_per_shard"].items())
+            )
+        )
     return "\n".join(lines)

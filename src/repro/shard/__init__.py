@@ -10,10 +10,11 @@ Sessions land on shards by consistent hash of their name
 CRC-protected binary records (:mod:`repro.shard.messages`, built on
 :class:`repro.binfmt.HeaderCodec`), and a dead shard's sessions resume
 bit-identically on survivors from their ingest recordings
-(:mod:`repro.shard.worker`).  See ``docs/sharding.md``.
+(:mod:`repro.shard.worker`).  Replaying a receiver fleet through shards
+is :func:`repro.serve.simulate.run_serve_sim` with ``shards=N``.  See
+``docs/sharding.md``.
 """
 
-from repro.shard.fleet import render_shard_table, run_shard_sim
 from repro.shard.messages import ShardProtocolError
 from repro.shard.ring import HashRing
 from repro.shard.router import ShardError, ShardRouter, ShardSessionProxy
@@ -27,7 +28,5 @@ __all__ = [
     "ShardRouter",
     "ShardSessionProxy",
     "WorkerInit",
-    "render_shard_table",
-    "run_shard_sim",
     "shard_worker_main",
 ]

@@ -16,7 +16,7 @@ record once and reprocess many times.  This package is that substrate:
 * :mod:`repro.store.checkpoint` — :class:`CheckpointedReplayer`:
   stop-at-chunk-*k*, resume-bit-identically replay on top of
   :class:`~repro.core.streaming.StreamingRim`.
-* :mod:`repro.store.convert` — legacy ``.npz`` ↔ chunked store migration.
+* :mod:`repro.store.convert` — one-way import of legacy ``.npz`` archives.
 
 See ``docs/storage.md`` for the format spec and guarantees.
 """
@@ -26,7 +26,7 @@ from repro.store.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.store.convert import npz_to_store, store_to_npz
+from repro.store.convert import npz_to_store
 from repro.store.format import (
     FORMAT_VERSION,
     HEADER_SIZE,
@@ -56,6 +56,5 @@ __all__ = [
     "load_checkpoint",
     "npz_to_store",
     "save_checkpoint",
-    "store_to_npz",
     "write_trace",
 ]

@@ -1,19 +1,17 @@
-"""Migration between the legacy ``.npz`` archive and the chunked store.
+"""Import of legacy ``.npz`` archives into the chunked store.
 
-Both directions are lossless for well-formed inputs (enforced by
+The store is the only trace writer; archives come in one way.  The
+import is lossless for well-formed inputs (enforced by
 ``tests/test_store.py``): samples are complex64 in both formats, clocks
 are float64, and the ground-truth trajectory / AP positions ride in the
-store manifest via the shared codecs in :mod:`repro.io`.  Conversion
-reads with the ``raise`` policy by default — a migration should fail
-loudly on corruption rather than bake NaN fills into a "clean" archive.
+store manifest via the shared codecs in :mod:`repro.io`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from repro.io import load_trace, save_trace
-from repro.store.reader import TraceReader
+from repro.io import load_trace
 from repro.store.writer import DEFAULT_CHUNK_SAMPLES, TraceWriter, write_trace
 
 
@@ -30,21 +28,3 @@ def npz_to_store(
     """
     trace = load_trace(src)
     return write_trace(dest, trace, chunk_samples=chunk_samples, metadata=metadata)
-
-
-def store_to_npz(src, dest, policy: str = "raise") -> int:
-    """Convert a chunked store back into a legacy ``.npz`` archive.
-
-    Args:
-        src: Store directory.
-        dest: Destination ``.npz`` path.
-        policy: Store read policy; the default refuses to archive a
-            corrupt store (pass ``"repair"`` to archive NaN-filled).
-
-    Returns:
-        Number of samples written.
-    """
-    with TraceReader(src, policy=policy) as reader:
-        trace = reader.read_trace()
-    save_trace(dest, trace)
-    return trace.n_samples

@@ -269,9 +269,8 @@ def write_trace(
 ) -> TraceWriter:
     """Persist a whole :class:`CsiTrace` as a chunked store in one call.
 
-    The lossless counterpart of :func:`repro.io.save_trace` for the new
-    format: ground truth, AP positions, and geometry all land in the
-    manifest, so ``TraceReader.read_trace`` round-trips the trace exactly.
+    Ground truth, AP positions, and geometry all land in the manifest, so
+    ``TraceReader.read_trace`` round-trips the trace exactly.
 
     Returns:
         The (closed) writer, for its ``n_chunks`` / ``bytes_written`` stats.

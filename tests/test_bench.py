@@ -77,6 +77,8 @@ def test_spec_rejects_unknown_axis():
 def test_spec_rejects_bad_values():
     with pytest.raises(BenchError, match="sessions"):
         MatrixSpec(name="x", axes={"sessions": [0]})
+    with pytest.raises(BenchError, match="kernel"):
+        MatrixSpec(name="x", axes={"kernel": ["auto"]})
     with pytest.raises(BenchError, match="dtype"):
         MatrixSpec(name="x", axes={"dtype": ["float16"]})
     with pytest.raises(BenchError, match="backpressure"):

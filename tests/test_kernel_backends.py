@@ -1,10 +1,10 @@
-"""Kernel-backend registry and batched-vs-reference equivalence tests.
+"""Kernel selection and batched-vs-reference equivalence tests.
 
 The batched backend (``repro.perf.kernels``) is only admissible if it is
 numerically indistinguishable from the reference per-pair kernels: same
 NaN cells, values within 1e-9, on clean traces AND under injected faults.
-These are the acceptance tests for that contract, plus the registry's
-selection semantics (config > RIM_KERNEL env var > default).
+These are the acceptance tests for that contract, plus the two
+``RimConfig`` fields that select the kernels and the float32 budget.
 """
 
 from __future__ import annotations
@@ -16,15 +16,6 @@ from repro import Rim, RimConfig, StreamingRim
 from repro.arrays.pairs import all_pairs
 from repro.core.trrs import normalize_csi
 from repro.perf.kernels import BatchedBackend, ReferenceBackend
-from repro.perf.registry import (
-    DEFAULT_BACKEND,
-    RIM_KERNEL_DTYPE_ENV,
-    RIM_KERNEL_ENV,
-    available_backends,
-    get_backend,
-    resolve_backend_name,
-    resolve_kernel_dtype,
-)
 from repro.robustness import FaultPlan
 
 TOL = 1e-9
@@ -44,67 +35,44 @@ def _faulted(trace, plan_name):
     return trace if plan is None else plan.apply(trace)
 
 
-# -- registry ---------------------------------------------------------------
+# -- kernel selection -------------------------------------------------------
 
 
-def test_registry_lists_builtin_backends():
-    names = available_backends()
-    assert "reference" in names
-    assert "batched" in names
-
-
-def test_resolution_default_is_batched(monkeypatch):
-    monkeypatch.delenv(RIM_KERNEL_ENV, raising=False)
-    assert resolve_backend_name(RimConfig()) == DEFAULT_BACKEND == "batched"
-
-
-def test_resolution_env_var_overrides_default(monkeypatch):
-    monkeypatch.setenv(RIM_KERNEL_ENV, "reference")
-    assert resolve_backend_name(RimConfig()) == "reference"
-    assert Rim(RimConfig()).kernel_backend == "reference"
-
-
-def test_resolution_config_beats_env(monkeypatch):
-    monkeypatch.setenv(RIM_KERNEL_ENV, "reference")
-    cfg = RimConfig(kernel_backend="batched")
-    assert resolve_backend_name(cfg) == "batched"
-    assert Rim(cfg).kernel_backend == "batched"
+def test_resolution_default_is_batched():
+    rim = Rim(RimConfig())
+    assert RimConfig().kernel_backend == rim.kernel_backend == "batched"
+    assert isinstance(rim._kernel, BatchedBackend)
 
 
 def test_unknown_backend_fails_fast_with_choices():
     with pytest.raises(ValueError, match="reference"):
-        Rim(RimConfig(kernel_backend="no-such-kernel"))
+        RimConfig(kernel_backend="no-such-kernel")
+
+
+def test_rim_config_selects_kernel():
+    assert Rim(RimConfig(kernel_dtype="float32"))._kernel.dtype == np.float32
+    assert isinstance(
+        Rim(RimConfig(kernel_backend="reference"))._kernel, ReferenceBackend
+    )
+    for bad in (
+        {"kernel_backend": "auto"},
+        {"kernel_dtype": "auto"},
+    ):
+        with pytest.raises(ValueError):
+            RimConfig(**bad)
 
 
 def test_config_rejects_empty_backend_name():
     with pytest.raises(ValueError):
         RimConfig(kernel_backend="")
-    with pytest.raises(ValueError):
-        RimConfig(kernel_threads=-1)
 
 
 # -- kernel precision (float32 opt-in) --------------------------------------
 
 
-def test_dtype_resolution_default_is_float64(monkeypatch):
-    monkeypatch.delenv(RIM_KERNEL_DTYPE_ENV, raising=False)
-    assert resolve_kernel_dtype(RimConfig()) == "float64"
-
-
-def test_dtype_resolution_env_var_opts_in(monkeypatch):
-    monkeypatch.setenv(RIM_KERNEL_DTYPE_ENV, "float32")
-    assert resolve_kernel_dtype(RimConfig()) == "float32"
-
-
-def test_dtype_resolution_config_beats_env(monkeypatch):
-    monkeypatch.setenv(RIM_KERNEL_DTYPE_ENV, "float32")
-    assert resolve_kernel_dtype(RimConfig(kernel_dtype="float64")) == "float64"
-
-
-def test_dtype_resolution_rejects_unknown_env(monkeypatch):
-    monkeypatch.setenv(RIM_KERNEL_DTYPE_ENV, "float16")
-    with pytest.raises(ValueError, match="float16"):
-        resolve_kernel_dtype(RimConfig())
+def test_dtype_resolution_default_is_float64():
+    assert RimConfig().kernel_dtype == "float64"
+    assert Rim(RimConfig())._kernel.dtype == np.float64
 
 
 def test_config_rejects_unknown_dtype():
@@ -122,31 +90,49 @@ def test_float32_backend_stores_single_precision(line_trace):
 
 # The float32 kernel error budget of docs/performance.md: with single-
 # precision TRRS accumulation and DP scores, the integrated distance on
-# the standard testbed stays within 1e-6 of the float64 path (measured
-# deviation is ~2e-9 m on a ~1 m trajectory; the budget leaves three
-# orders of magnitude of headroom for other scenarios).
+# the standard testbed stays within 1e-6 of the float64 path, in batch
+# and streaming, on linear and hexagonal arrays, clean and under bursty
+# loss (measured deviation is at most 2.5e-8 m on ~1 m trajectories; the
+# budget leaves a 40x headroom for other scenarios).
 FLOAT32_DISTANCE_BUDGET = 1e-6
 
 
+def _stream_distance(trace, cfg):
+    stream = StreamingRim(
+        trace.array,
+        trace.sampling_rate,
+        cfg,
+        block_seconds=0.5,
+        carrier_wavelength=trace.carrier_wavelength,
+    )
+    for k in range(trace.n_samples):
+        stream.push(trace.data[k], float(trace.times[k]))
+    stream.flush()
+    return stream.total_distance
+
+
 @pytest.mark.parametrize("plan_name", ["clean", "bursty_loss"])
-def test_float32_pipeline_within_documented_budget(line_trace, plan_name):
-    trace = _faulted(line_trace, plan_name)
+@pytest.mark.parametrize("path", ["process", "stream"])
+@pytest.mark.parametrize("trace_name", ["line_trace", "hex_line_trace"])
+def test_float32_pipeline_within_documented_budget(
+    request, trace_name, path, plan_name
+):
+    trace = _faulted(request.getfixturevalue(trace_name), plan_name)
 
     def distance(dtype):
-        cfg = RimConfig(
-            max_lag=25, kernel_backend="batched", kernel_dtype=dtype
-        )
-        return Rim(cfg).process(trace).total_distance
+        cfg = RimConfig(max_lag=25, kernel_dtype=dtype)
+        if path == "process":
+            return Rim(cfg).process(trace).total_distance
+        return _stream_distance(trace, cfg)
 
     d64 = distance("float64")
     d32 = distance("float32")
     assert abs(d32 - d64) <= FLOAT32_DISTANCE_BUDGET
 
 
-def test_float64_mode_unchanged_by_dtype_plumbing(line_trace, monkeypatch):
+def test_float64_mode_unchanged_by_dtype_plumbing(line_trace):
     """kernel_dtype='float64' must be the exact default pipeline —
     bit-identical distance, not merely within tolerance."""
-    monkeypatch.delenv(RIM_KERNEL_DTYPE_ENV, raising=False)
     default = Rim(RimConfig(max_lag=25, kernel_backend="batched")).process(
         line_trace
     )
@@ -217,33 +203,11 @@ def test_strided_then_full_request_reuses_rows(line_trace):
     )
 
 
-def test_threaded_backend_matches_serial(line_trace):
-    pairs = all_pairs(line_trace.array)
-    norm = normalize_csi(line_trace.data)
-    serial, threaded = BatchedBackend(threads=0), BatchedBackend(threads=2)
-    kw = dict(virtual_window=4, sampling_rate=line_trace.sampling_rate)
-    a = serial.matrices(serial.make_store(norm, 25), pairs, **kw)
-    b = threaded.matrices(threaded.make_store(norm, 25), pairs, **kw)
-    for ma, mb in zip(a, b):
-        assert np.array_equal(
-            np.isnan(ma.values), np.isnan(mb.values)
-        )
-        assert np.allclose(
-            ma.values, mb.values, rtol=0.0, atol=TOL, equal_nan=True
-        )
-
-
 # -- end-to-end pipeline equivalence ---------------------------------------
 
 
 def _run(trace, backend, **cfg_kw):
-    # Pin float64: these are cross-backend 1e-9 comparisons, which the
-    # opt-in float32 mode (ambient RIM_KERNEL_DTYPE in the CI matrix)
-    # intentionally does not satisfy.
-    cfg = RimConfig(
-        max_lag=25, kernel_backend=backend, kernel_dtype="float64", **cfg_kw
-    )
-    return Rim(cfg).process(trace)
+    return Rim(RimConfig(max_lag=25, kernel_backend=backend, **cfg_kw)).process(trace)
 
 
 def _assert_results_match(ref, bat):
@@ -273,37 +237,18 @@ def test_pipeline_equivalence_hexagon(hex_line_trace, plan_name):
 
 
 @pytest.mark.parametrize("plan_name", ["clean", "dead_chain", "bursty_loss"])
-def test_streaming_equivalence(line_trace, three_antenna, plan_name):
+def test_streaming_equivalence(line_trace, plan_name):
     """Streamed distance must not depend on the backend or the row cache."""
     trace = _faulted(line_trace, plan_name)
 
     def stream_distance(backend, stream_reuse):
         cfg = RimConfig(
-            max_lag=25,
-            kernel_backend=backend,
-            kernel_dtype="float64",  # cross-backend 1e-9 comparison
-            stream_reuse=stream_reuse,
+            max_lag=25, kernel_backend=backend, stream_reuse=stream_reuse
         )
-        stream = StreamingRim(
-            three_antenna,
-            trace.sampling_rate,
-            cfg,
-            block_seconds=0.5,
-            carrier_wavelength=trace.carrier_wavelength,
-        )
-        for k in range(trace.n_samples):
-            stream.push(trace.data[k], float(trace.times[k]))
-        stream.flush()
-        return stream.total_distance
+        return _stream_distance(trace, cfg)
 
     d_ref = stream_distance("reference", stream_reuse=False)
     d_bat = stream_distance("batched", stream_reuse=False)
     d_cached = stream_distance("batched", stream_reuse=True)
     assert abs(d_bat - d_ref) <= TOL
     assert abs(d_cached - d_ref) <= TOL
-
-
-def test_get_backend_threads_knob():
-    backend = get_backend(RimConfig(kernel_backend="batched", kernel_threads=3))
-    assert isinstance(backend, BatchedBackend)
-    assert backend.threads == 3

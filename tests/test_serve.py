@@ -224,19 +224,21 @@ class TestServeSim:
         assert "sessions/s" in table
 
     def test_worker_count_never_changes_estimates(self, serve_traces):
-        """Thread scheduling must never change per-session numbers."""
+        """Thread scheduling and sharding must never change per-session
+        numbers, and every row counts the updates its replay delivered
+        (polled and flushed)."""
         cfg = RimConfig(max_lag=50)
         receivers = [(f"rx{k:02d}", t) for k, t in enumerate(serve_traces)]
         per_session = []
-        for n_workers in (1, 3):
+        for kw in ({"n_workers": 1}, {"n_workers": 3}, {"shards": 2}):
             result = run_serve_sim(
-                n_workers=n_workers,
                 receivers=receivers,
                 block_seconds=0.5,
                 rim_config=cfg,
+                **kw,
             )
             per_session.append(
-                {row["session"]: (row["distance_m"], row["updates"])
+                {row["session"]: (row["distance_m"], row["updates"], row["n_updates"])
                  for row in result["sessions"]}
             )
         direct = {}
@@ -250,8 +252,8 @@ class TestServeSim:
                 for k in range(trace.n_samples)
             ] + [stream.flush()]
             n_updates = sum(u is not None for u in updates)
-            direct[name] = (stream.total_distance, n_updates)
-        assert per_session[0] == per_session[1] == direct
+            direct[name] = (stream.total_distance, n_updates, n_updates)
+        assert per_session[0] == per_session[1] == per_session[2] == direct
 
     def test_reject_policy_surfaces_in_aggregate(self, serve_traces):
         receivers = [("rx00", serve_traces[0])]

@@ -23,13 +23,8 @@ from repro.core.config import RimConfig
 from repro.core.streaming import StreamingRim
 from repro.motionsim.profiles import line_trajectory
 from repro.serve.session import ServeConfig, SessionManager
-from repro.shard import (
-    HashRing,
-    ShardError,
-    ShardProtocolError,
-    ShardRouter,
-    run_shard_sim,
-)
+from repro.serve.simulate import render_serve_table, run_serve_sim
+from repro.shard import HashRing, ShardError, ShardProtocolError, ShardRouter
 from repro.shard import messages as msg
 
 
@@ -329,8 +324,8 @@ class TestFleet:
         with pytest.raises(ShardError):
             router.poll(name)
 
-    def test_run_shard_sim_aggregate(self, shard_traces):
-        result = run_shard_sim(
+    def test_run_serve_sim_sharded_aggregate(self, shard_traces):
+        result = run_serve_sim(
             shards=2,
             receivers=shard_traces[:2],
             rim_config=RIM_CFG,
@@ -347,3 +342,8 @@ class TestFleet:
         for row in result["sessions"]:
             assert row["updates"] > 0
             assert row["shard"].startswith("shard-")
+        table = render_serve_table(result)
+        assert "2 sessions over 2 shards (2 alive, 0 failovers)" in table
+        assert "placement: " in table
+        for row in result["sessions"]:
+            assert row["shard"] in table

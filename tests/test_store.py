@@ -1,11 +1,11 @@
-"""Chunked trace store: round trips, the corruption matrix, and conversion.
+"""Chunked trace store: round trips, the corruption matrix, serving and replay.
 
 The acceptance contract (ISSUE 5): a corrupted chunk under the ``repair``
 policy never crashes the pipeline and is visible in both
 ``HealthReport.repairs`` and the ``store.*`` metrics; every fault class
 (bit-flip payload, truncated tail, duplicated / missing sequence number)
-behaves per policy (raise / drop / repair); legacy ``.npz`` and chunked
-stores convert losslessly in both directions.
+behaves per policy (raise / drop / repair).  The one-way import of legacy
+``.npz`` archives is tested with the CLI (``tests/test_io_cli.py``).
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from repro.store import (
     StoreError,
     TraceReader,
     TraceWriter,
-    npz_to_store,
-    store_to_npz,
     write_trace,
 )
 from repro.store.format import HEADER_SIZE, MANIFEST_NAME
@@ -263,32 +261,6 @@ def test_torn_final_chunk_crash_recovery(tmp_path, three_antenna):
     assert reader.n_chunks == 1
     out = list(reader.iter_chunks())
     assert sum(r.times.size for r in out) == 16
-
-
-# -- conversion ---------------------------------------------------------------
-
-
-def test_convert_round_trip_npz_to_store_to_npz(store, tmp_path, line_trace):
-    from repro.io import load_trace, save_trace
-
-    npz = tmp_path / "legacy.npz"
-    save_trace(npz, line_trace)
-    converted = tmp_path / "converted"
-    npz_to_store(npz, converted, chunk_samples=CHUNK)
-    back = tmp_path / "back.npz"
-    store_to_npz(converted, back)
-    out = load_trace(back)
-    assert np.array_equal(out.data, line_trace.data)
-    assert np.array_equal(out.times, line_trace.times)
-    assert np.array_equal(out.trajectory.positions, line_trace.trajectory.positions)
-
-
-def test_convert_refuses_corrupt_store_by_default(store, tmp_path):
-    _bitflip(store, 0)
-    with pytest.raises(StoreCorruptionError):
-        store_to_npz(store, tmp_path / "out.npz")
-    # ... but archives NaN-filled under repair.
-    store_to_npz(store, tmp_path / "out.npz", policy="repair")
 
 
 # -- serve integration --------------------------------------------------------

@@ -201,8 +201,8 @@ class TestStreamAlignmentCache:
     """Cross-block TRRS row reuse and its invalidation discipline."""
 
     def _stream(self, three_antenna, trace, **cfg_kw):
-        # Pin the batched backend: only it implements row seeding, and
-        # these tests must not depend on the ambient RIM_KERNEL setting.
+        # Pin the batched backend (the default): only it implements row
+        # seeding, so these tests must keep running it.
         cfg = RimConfig(max_lag=25, kernel_backend="batched", **cfg_kw)
         return StreamingRim(
             three_antenna,
