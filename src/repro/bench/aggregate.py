@@ -4,9 +4,9 @@ the deterministic table digest, and cross-table comparison.
 All math here is deliberately dependency-light and deterministic: the
 same per-repetition records always produce the same row, and the table
 digest covers only replay-deterministic fields (cell identity, seed,
-workload size, and — for ``block``-backpressure cells — update counts
-and total distance), so two runs of the same spec with the same seed
-produce bit-identical digests even though wall-clock columns differ.
+workload size, update counts and total distance), so two runs of the
+same spec with the same seed produce bit-identical digests even though
+wall-clock columns differ.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.bench.spec import Cell, BenchError
 from repro.obs.metrics import bucket_percentile
 
 #: Run-table payload schema tag (see :func:`validate_run_table`).
-TABLE_SCHEMA = "rim-bench-table/v1"
+TABLE_SCHEMA = "rim-bench-table/v2"
 
 #: Latency quantiles every row reports, as (field suffix, q) pairs.
 LATENCY_QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
@@ -95,33 +95,30 @@ def build_row(
 ) -> Dict[str, Any]:
     """Aggregate one cell's measured repetitions into a run-table row.
 
-    Deterministic cells must agree across repetitions on update count
-    and total distance — a disagreement means the serving stack broke
-    its replay-determinism guarantee, which is a failure worth failing
-    the bench for, not averaging away.
+    Every cell blocks on a full ingest queue and never sheds, so its
+    repetitions must agree on update count and total distance — a
+    disagreement means the serving stack broke its replay-determinism
+    guarantee, which is a failure worth failing the bench for, not
+    averaging away.
     """
     if not reps:
         raise BenchError(f"cell {cell.key} has no measured repetitions")
     first = reps[0]
-    if cell.deterministic:
-        for k, rep in enumerate(reps[1:], start=2):
-            if rep["n_updates"] != first["n_updates"] or not math.isclose(
-                rep["total_distance_m"], first["total_distance_m"],
-                rel_tol=0.0, abs_tol=0.0,
-            ):
-                raise BenchError(
-                    f"cell {cell.key} is deterministic but repetition {k} "
-                    f"diverged: updates {rep['n_updates']} vs "
-                    f"{first['n_updates']}, distance "
-                    f"{rep['total_distance_m']!r} vs "
-                    f"{first['total_distance_m']!r}"
-                )
+    for k, rep in enumerate(reps[1:], start=2):
+        if rep["n_updates"] != first["n_updates"] or not math.isclose(
+            rep["total_distance_m"], first["total_distance_m"],
+            rel_tol=0.0, abs_tol=0.0,
+        ):
+            raise BenchError(
+                f"cell {cell.key} repetition {k} diverged: updates "
+                f"{rep['n_updates']} vs {first['n_updates']}, distance "
+                f"{rep['total_distance_m']!r} vs {first['total_distance_m']!r}"
+            )
     latency = merge_histograms([rep.get("latency") for rep in reps])
     row: Dict[str, Any] = {
         "cell": cell.to_dict(),
         "key": cell.key,
         "seed": int(seed),
-        "deterministic": cell.deterministic,
         "n_sessions": int(first["n_sessions"]),
         "total_samples": int(first["total_samples"]),
         "n_updates": int(first["n_updates"]),
@@ -157,21 +154,19 @@ def build_row(
 
 
 def _digest_projection(rows: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    proj = []
-    for row in rows:
-        entry: Dict[str, Any] = {
+    # repr() is the shortest round-trip form: bit-identical floats digest
+    # identically, anything else does not.
+    return [
+        {
             "key": row["key"],
             "seed": int(row["seed"]),
             "n_sessions": int(row["n_sessions"]),
             "total_samples": int(row["total_samples"]),
+            "n_updates": int(row["n_updates"]),
+            "total_distance_m": repr(float(row["total_distance_m"])),
         }
-        if row.get("deterministic"):
-            entry["n_updates"] = int(row["n_updates"])
-            # repr() is the shortest round-trip form: bit-identical
-            # floats digest identically, anything else does not.
-            entry["total_distance_m"] = repr(float(row["total_distance_m"]))
-        proj.append(entry)
-    return proj
+        for row in rows
+    ]
 
 
 def table_digest(rows: Sequence[Dict[str, Any]]) -> str:
@@ -224,7 +219,7 @@ def validate_run_table(payload: Dict[str, Any]) -> None:
         raise BenchError("run table lacks the capacity model list")
     for model in capacity:
         fit = model.get("fit")
-        if not isinstance(fit, dict) or fit.get("model") not in ("linear", "kneed"):
+        if not isinstance(fit, dict) or not isinstance(fit.get("slope"), (int, float)):
             raise BenchError(f"capacity entry {model.get('group')!r} lacks a fit")
 
 
@@ -242,8 +237,10 @@ def compare_tables(
     milliseconds-scale; a purely fractional bound would be a
     scheduler-jitter lottery).  A cell present in the old table but
     missing from the new one fails — a silently shrunk matrix is not a
-    pass.  Capacity models of groups present in both tables gate
-    scaling behaviour, not just point speed (:func:`_capacity_failures`).
+    pass.  The fitted sessions/sec-per-shard slope of every group present
+    in both tables gets the same fractional budget, so scaling is gated,
+    not just point speed; both slopes must be positive for the ratio to
+    mean anything.
 
     Returns:
         Human-readable failure strings (uniform gate format); empty
@@ -294,63 +291,23 @@ def compare_tables(
                     f"plus {LATENCY_GATE_SLACK_S * 1e3:.0f} ms slack",
                 )
             )
-    old_fits = {model["group"]: model["fit"] for model in old.get("capacity", [])}
+    old_slopes = {
+        model["group"]: float(model["fit"]["slope"])
+        for model in old.get("capacity", [])
+    }
     for model in new.get("capacity", []):
-        old_fit = old_fits.get(model["group"])
-        if old_fit is not None:
-            failures += _capacity_failures(
-                model["group"], old_fit, model["fit"], max_regression
+        group = model["group"]
+        if group not in old_slopes:
+            continue
+        old_slope = old_slopes[group]
+        new_slope = float(model["fit"]["slope"])
+        if 0 < new_slope < old_slope / (1.0 + max_regression):
+            failures.append(
+                format_gate_failure(
+                    f"bench[{group}].capacity.slope",
+                    measured=f"{new_slope:.2f} sessions/s per shard",
+                    baseline=f"{old_slope:.2f} sessions/s per shard",
+                    budget=drop_budget,
+                )
             )
-    return failures
-
-
-def _capacity_failures(
-    group: str,
-    old_fit: Dict[str, Any],
-    new_fit: Dict[str, Any],
-    max_regression: float,
-) -> List[str]:
-    """Gate one group's capacity model against its baseline fit.
-
-    The fitted sessions/sec-per-shard slope gets the fractional budget
-    (both slopes must be positive for the ratio to mean anything).  A
-    knee appearing where the baseline scaled linearly — or moving to a
-    smaller shard count beyond the budget — means scaling now saturates
-    earlier than the baseline says it does.
-    """
-    drop_budget = f"-{max_regression / (1.0 + max_regression):.0%}"
-    failures: List[str] = []
-    old_slope = float(old_fit["slope"])
-    new_slope = float(new_fit["slope"])
-    if 0 < new_slope < old_slope / (1.0 + max_regression):
-        failures.append(
-            format_gate_failure(
-                f"bench[{group}].capacity.slope",
-                measured=f"{new_slope:.2f} sessions/s per shard",
-                baseline=f"{old_slope:.2f} sessions/s per shard",
-                budget=drop_budget,
-            )
-        )
-    old_knee = old_fit.get("knee")
-    new_knee = new_fit.get("knee")
-    if new_knee is None:
-        return failures
-    if old_knee is None:
-        failures.append(
-            format_gate_failure(
-                f"bench[{group}].capacity.knee",
-                measured=f"knee at {new_knee:g} shards",
-                baseline="no knee (linear scaling)",
-                budget="scaling may not start saturating",
-            )
-        )
-    elif new_knee < old_knee / (1.0 + max_regression):
-        failures.append(
-            format_gate_failure(
-                f"bench[{group}].capacity.knee",
-                measured=f"knee at {new_knee:g} shards",
-                baseline=f"knee at {old_knee:g} shards",
-                budget=drop_budget,
-            )
-        )
     return failures

@@ -2,10 +2,10 @@
 
 A matrix spec is a plain dict (loaded from TOML or JSON, or built in
 code) describing a sweep over the serving stack's capacity axes —
-session count, shard count, kernel backend, kernel precision, wire-fault
-plan, backpressure policy — times a repetition count.  The shape follows
-the benchalot/muBench idiom: ``axes`` holds the per-axis value lists,
-everything else is a scalar knob shared by every cell::
+session count, shard count, kernel backend — times a repetition count.
+The shape follows the benchalot/muBench idiom: ``axes`` holds the
+per-axis value lists, everything else is a scalar knob shared by every
+cell::
 
     name = "smoke"
     repetitions = 2
@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.core.config import KERNEL_BACKENDS, KERNEL_DTYPES
+from repro.core.config import KERNEL_BACKENDS
 
 
 class BenchError(ValueError):
@@ -41,21 +40,14 @@ class BenchError(ValueError):
 
 
 #: Sweepable axes, in canonical (expansion and cell-key) order.
-AXES: Tuple[str, ...] = (
-    "sessions", "shards", "kernel", "dtype", "fault_plan", "backpressure"
-)
+AXES: Tuple[str, ...] = ("sessions", "shards", "kernel")
 
 #: Default value for every axis a spec leaves unswept.
 AXIS_DEFAULTS: Dict[str, Any] = {
     "sessions": 4,
     "shards": 0,  # 0 = one in-process SessionManager (repro.serve)
     "kernel": "batched",
-    "dtype": "float64",
-    "fault_plan": "",  # non-empty = loopback net front-end (repro.net)
-    "backpressure": "block",
 }
-
-_KNOWN_POLICIES = ("block", "drop_oldest", "reject")
 
 
 @dataclass(frozen=True)
@@ -65,26 +57,11 @@ class Cell:
     sessions: int
     shards: int
     kernel: str
-    dtype: str
-    fault_plan: str
-    backpressure: str
 
     @property
     def key(self) -> str:
-        """Stable identifier, e.g. ``sessions=4/shards=1/kernel=batched/...``."""
+        """Stable identifier, e.g. ``sessions=4/shards=1/kernel=batched``."""
         return "/".join(f"{axis}={getattr(self, axis)}" for axis in AXES)
-
-    @property
-    def deterministic(self) -> bool:
-        """Whether the cell's outputs are replay-deterministic.
-
-        ``block`` backpressure never sheds, so update counts and total
-        distance are pure functions of the (seeded) workload — including
-        the net path, whose wire faults are pure functions of
-        ``(seed, seq)``.  ``drop_oldest``/``reject`` shed based on queue
-        timing, so only their workload identity is deterministic.
-        """
-        return self.backpressure == "block"
 
     def to_dict(self) -> Dict[str, Any]:
         return {axis: getattr(self, axis) for axis in AXES}
@@ -99,27 +76,19 @@ class MatrixSpec:
         axes: Axis name -> list of values to sweep; unlisted axes pin to
             :data:`AXIS_DEFAULTS`.
         repetitions: Measured runs per cell (spread comes from these).
-        warmup: Unmeasured runs per cell before the measured ones.
-        cooldown_s: Sleep between measured runs (muBench-style cooldown).
         seed: Workload seed — receivers are sampled once per session
             count from this seed, so every cell sweeping the same
             session count replays the identical workload.
         duration_s: Per-receiver trajectory duration, seconds.
         block_seconds: Streaming emission cadence, seconds.
-        workers: Worker-thread count for in-process (``shards=0``) cells.
-        queue_capacity: Per-session ingest queue bound, packets.
     """
 
     name: str
     axes: Dict[str, List[Any]] = field(default_factory=dict)
     repetitions: int = 1
-    warmup: int = 0
-    cooldown_s: float = 0.0
     seed: int = 0
     duration_s: float = 1.0
     block_seconds: float = 1.0
-    workers: int = 4
-    queue_capacity: int = 256
 
     def __post_init__(self) -> None:
         self.validate()
@@ -145,21 +114,11 @@ class MatrixSpec:
                 self._validate_axis_value(axis, value)
         if int(self.repetitions) < 1:
             raise BenchError(f"repetitions must be >= 1, got {self.repetitions}")
-        if int(self.warmup) < 0:
-            raise BenchError(f"warmup must be >= 0, got {self.warmup}")
-        if float(self.cooldown_s) < 0:
-            raise BenchError(f"cooldown_s must be >= 0, got {self.cooldown_s}")
         if float(self.duration_s) <= 0:
             raise BenchError(f"duration_s must be > 0, got {self.duration_s}")
         if float(self.block_seconds) <= 0:
             raise BenchError(
                 f"block_seconds must be > 0, got {self.block_seconds}"
-            )
-        if int(self.workers) < 1:
-            raise BenchError(f"workers must be >= 1, got {self.workers}")
-        if int(self.queue_capacity) < 1:
-            raise BenchError(
-                f"queue_capacity must be >= 1, got {self.queue_capacity}"
             )
 
     @staticmethod
@@ -175,20 +134,6 @@ class MatrixSpec:
                 raise BenchError(
                     f"kernel values must be one of {KERNEL_BACKENDS}, got {value!r}"
                 )
-        elif axis == "dtype":
-            if value not in KERNEL_DTYPES:
-                raise BenchError(
-                    f"dtype values must be one of {KERNEL_DTYPES}, got {value!r}"
-                )
-        elif axis == "backpressure":
-            if value not in _KNOWN_POLICIES:
-                raise BenchError(
-                    f"backpressure values must be one of {_KNOWN_POLICIES}, "
-                    f"got {value!r}"
-                )
-        elif axis == "fault_plan":
-            if not isinstance(value, str):
-                raise BenchError(f"{axis} values must be strings, got {value!r}")
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "MatrixSpec":
@@ -210,13 +155,9 @@ class MatrixSpec:
             "name": self.name,
             "axes": {axis: list(values) for axis, values in self.axes.items()},
             "repetitions": int(self.repetitions),
-            "warmup": int(self.warmup),
-            "cooldown_s": float(self.cooldown_s),
             "seed": int(self.seed),
             "duration_s": float(self.duration_s),
             "block_seconds": float(self.block_seconds),
-            "workers": int(self.workers),
-            "queue_capacity": int(self.queue_capacity),
         }
 
 
@@ -253,55 +194,9 @@ def expand_matrix(spec: MatrixSpec) -> List[Cell]:
     """Expand the spec's cross product into cells, deterministically.
 
     Axes iterate in :data:`AXES` order with each axis's values in spec
-    order; unswept axes pin to :data:`AXIS_DEFAULTS`.  Unsupported
-    combinations (a wire-fault plan on a sharded cell — ``run_net_load``
-    drives a single-manager loopback server) fail here, before any cell
-    runs.
+    order; unswept axes pin to :data:`AXIS_DEFAULTS`.
     """
     value_lists = [
         list(spec.axes.get(axis, [AXIS_DEFAULTS[axis]])) for axis in AXES
     ]
-    cells = [Cell(*combo) for combo in itertools.product(*value_lists)]
-    for cell in cells:
-        if cell.fault_plan and cell.shards >= 1:
-            raise BenchError(
-                f"cell {cell.key} combines a wire-fault plan with a shard "
-                "fleet; the net front-end path benches a single-manager "
-                "loopback server (drop the shards axis or the fault plan)"
-            )
-    return cells
-
-
-def cell_seed(spec_seed: int, key: str) -> int:
-    """Deterministic per-cell seed derived from the spec seed and key."""
-    return (int(spec_seed) * 1_000_003 + zlib.crc32(key.encode("utf-8"))) % (2**31)
-
-
-def parse_filters(exprs: Iterable[str]) -> List[Tuple[str, str]]:
-    """Parse ``--filter KEY=VALUE`` expressions.
-
-    ``KEY`` is an axis name (exact value match against the cell) or the
-    literal ``cell`` (substring match against the full cell key).
-    """
-    filters: List[Tuple[str, str]] = []
-    for expr in exprs:
-        key, sep, value = expr.partition("=")
-        if not sep or not key:
-            raise BenchError(f"filter must look like KEY=VALUE, got {expr!r}")
-        if key != "cell" and key not in AXES:
-            raise BenchError(
-                f"filter key must be 'cell' or one of {list(AXES)}, got {key!r}"
-            )
-        filters.append((key, value))
-    return filters
-
-
-def match_cell(cell: Cell, filters: Sequence[Tuple[str, str]]) -> bool:
-    """Whether a cell passes every filter (AND semantics)."""
-    for key, value in filters:
-        if key == "cell":
-            if value not in cell.key:
-                return False
-        elif str(getattr(cell, key)) != value:
-            return False
-    return True
+    return [Cell(*combo) for combo in itertools.product(*value_lists)]

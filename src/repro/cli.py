@@ -47,6 +47,8 @@ import sys
 from typing import Callable, Dict
 
 from repro.eval.report import render_report
+from repro.serve.session import BACKPRESSURE_POLICIES
+from repro.store.reader import READ_POLICIES
 
 
 class _SessionTagFilter(logging.Filter):
@@ -325,7 +327,7 @@ def cmd_replay(args) -> int:
     from repro.store import CheckpointedReplayer, TraceReader
 
     reader = TraceReader(args.store, policy=args.guard)
-    config = RimConfig(guard_policy="repair" if args.guard == "repair" else args.guard)
+    config = RimConfig(guard_policy=args.guard)
     if args.resume:
         replayer = CheckpointedReplayer.resume(
             reader, args.resume, config=config, block_seconds=args.block_seconds
@@ -534,8 +536,6 @@ def cmd_bench(args) -> int:
         compare_tables,
         gate_linear_scaling,
         load_spec,
-        parse_filters,
-        render_bench_csv,
         render_bench_table,
         run_matrix,
         validate_run_table,
@@ -546,8 +546,7 @@ def cmd_bench(args) -> int:
         with open(args.table, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         validate_run_table(payload)
-        render = render_bench_csv if args.format == "csv" else render_bench_table
-        print(render(payload), end="")
+        print(render_bench_table(payload), end="")
         return 0
 
     if args.bench_command == "compare":
@@ -571,13 +570,9 @@ def cmd_bench(args) -> int:
     if args.repetitions is not None:
         spec.repetitions = args.repetitions
         spec.validate()
-    if args.seed is not None:
-        spec.seed = args.seed
-    filters = parse_filters(args.filter)
     with GracefulShutdown() as stop:
         payload = run_matrix(
             spec,
-            filters=filters,
             should_stop=stop.stopper(),
             progress=lambda line: print(line, file=sys.stderr),
         )
@@ -598,10 +593,7 @@ def cmd_bench(args) -> int:
         (out / "run_table.md").write_text(
             render_bench_table(payload), encoding="utf-8"
         )
-        (out / "run_table.csv").write_text(
-            render_bench_csv(payload), encoding="utf-8"
-        )
-        print(f"wrote {out}/run_table.{{json,md,csv}}", file=sys.stderr)
+        print(f"wrote {out}/run_table.{{json,md}}", file=sys.stderr)
     if args.scaling_gate:
         failures, report = gate_linear_scaling(payload["rows"], payload["n_cpus"])
         for line in report:
@@ -767,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-receiver trajectory duration, seconds",
     )
     serve.add_argument(
-        "--policy", default="block", choices=("block", "drop_oldest", "reject"),
+        "--policy", default="block", choices=BACKPRESSURE_POLICIES,
         help="backpressure policy for a full ingest queue",
     )
     serve.add_argument(
@@ -815,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument("store", help="store directory to replay")
     replay.add_argument(
-        "--guard", default="repair", choices=("raise", "drop", "repair"),
+        "--guard", default="repair", choices=READ_POLICIES,
         help="fault policy for corrupt/missing chunks (and the stream guard)",
     )
     replay.add_argument(
@@ -853,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
         "with --record-dir, a dead shard's sessions resume on survivors",
     )
     net_serve.add_argument(
-        "--policy", default="block", choices=("block", "drop_oldest", "reject"),
+        "--policy", default="block", choices=BACKPRESSURE_POLICIES,
         help="backpressure policy for a full ingest queue",
     )
     net_serve.add_argument(
@@ -914,7 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(see repro.net.NetFaultPlan.from_spec)",
     )
     net_load.add_argument(
-        "--policy", default="block", choices=("block", "drop_oldest", "reject"),
+        "--policy", default="block", choices=BACKPRESSURE_POLICIES,
         help="backpressure policy for a full ingest queue",
     )
     net_load.add_argument(
@@ -975,34 +967,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_run.add_argument(
         "--out", default=None, metavar="DIR",
-        help="write run_table.{json,md,csv} into DIR",
-    )
-    bench_run.add_argument(
-        "--filter", action="append", default=[], metavar="KEY=VALUE",
-        help="only run matching cells: an axis (shards=2, kernel=batched) "
-        "or cell=SUBSTRING against the full cell key; repeatable (AND)",
+        help="write run_table.{json,md} into DIR",
     )
     bench_run.add_argument(
         "--repetitions", type=int, default=None, metavar="N",
         help="override the spec's measured repetitions per cell",
     )
     bench_run.add_argument(
-        "--seed", type=int, default=None, help="override the spec's seed"
-    )
-    bench_run.add_argument(
         "--scaling-gate", action="store_true",
         help="fail when a shard row scales below 0.7x-linear sessions/s "
-        "over its 1-shard row; rows with more shards than the host has "
-        "cpus are reported and skipped",
+        "over its 1-shard row; rows with more shards than this process "
+        "may use cpus are reported and skipped",
     )
 
     bench_table = bench_sub.add_parser(
         "table", help="validate and re-render a saved run table"
     )
     bench_table.add_argument("table", help="run_table.json path")
-    bench_table.add_argument(
-        "--format", default="md", choices=("md", "csv"), help="output format"
-    )
 
     bench_compare = bench_sub.add_parser(
         "compare", help="cell-by-cell regression check between two run tables"

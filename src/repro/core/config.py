@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 KERNEL_BACKENDS = ("batched", "reference")
 KERNEL_DTYPES = ("float64", "float32")
+GUARD_POLICIES = ("off", "raise", "drop", "repair")
 
 
 @dataclass
@@ -154,9 +155,9 @@ class RimConfig:
                 f"interpolation_max_gap must be >= 0 (packets), "
                 f"got {self.interpolation_max_gap}"
             )
-        if self.guard_policy not in ("off", "raise", "drop", "repair"):
+        if self.guard_policy not in GUARD_POLICIES:
             raise ValueError(
-                f"guard_policy must be one of 'off', 'raise', 'drop', 'repair', "
+                f"guard_policy must be one of {GUARD_POLICIES}, "
                 f"got {self.guard_policy!r}"
             )
         if not 0.0 <= self.guard_min_liveness <= 1.0:

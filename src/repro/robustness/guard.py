@@ -32,11 +32,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.channel.sampler import CsiTrace
+from repro.core.config import GUARD_POLICIES
 from repro.motionsim.trajectory import Trajectory
 
 logger = logging.getLogger(__name__)
-
-POLICIES = ("off", "raise", "drop", "repair")
 
 
 class GuardError(ValueError):
@@ -123,8 +122,8 @@ def guard_trace(
         GuardError: Under ``policy="raise"`` for any detected fault, and
             under every policy for malformed tensors (wrong rank).
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown guard policy {policy!r}; want one of {POLICIES}")
+    if policy not in GUARD_POLICIES:
+        raise ValueError(f"unknown guard policy {policy!r}; want one of {GUARD_POLICIES}")
     data = np.asarray(trace.data)
     times = np.asarray(trace.times, dtype=np.float64)
     if data.ndim != 4:
@@ -273,8 +272,8 @@ class StreamGuard:
     """
 
     def __init__(self, policy: str = "repair", epsilon: float = 1e-9):
-        if policy not in POLICIES:
-            raise ValueError(f"unknown guard policy {policy!r}; want one of {POLICIES}")
+        if policy not in GUARD_POLICIES:
+            raise ValueError(f"unknown guard policy {policy!r}; want one of {GUARD_POLICIES}")
         self.policy = policy
         self.epsilon = float(epsilon)
         self.last_timestamp = -np.inf

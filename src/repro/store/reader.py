@@ -40,6 +40,7 @@ import numpy as np
 from repro import obs
 from repro.arrays.geometry import AntennaArray
 from repro.channel.sampler import CsiTrace
+from repro.core.config import GUARD_POLICIES
 from repro.obs.flight import FLIGHT
 from repro.io import (
     array_from_manifest,
@@ -47,7 +48,6 @@ from repro.io import (
     trajectory_from_manifest,
 )
 from repro.motionsim.trajectory import Trajectory
-from repro.robustness.guard import POLICIES
 from repro.store.format import (
     CHUNK_GLOB,
     HEADER_SIZE,
@@ -63,7 +63,8 @@ from repro.store.format import (
     unpack_payload,
 )
 
-READ_POLICIES = ("raise", "drop", "repair")
+#: The guard's policies minus ``"off"``: a store read is never unchecked.
+READ_POLICIES = tuple(policy for policy in GUARD_POLICIES if policy != "off")
 
 
 @dataclass
@@ -155,7 +156,7 @@ class TraceReader:
         if policy not in READ_POLICIES:
             raise ValueError(
                 f"unknown store policy {policy!r}; want one of {READ_POLICIES} "
-                f"(the guard's {POLICIES} minus 'off': a store read is never "
+                f"(the guard's {GUARD_POLICIES} minus 'off': a store read is never "
                 "unchecked)"
             )
         self.root = Path(root)

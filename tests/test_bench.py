@@ -6,12 +6,12 @@ Locks down the PR-10 acceptance criteria:
   before anything runs) and expand deterministically;
 * the aggregation math is correct on known distributions (percentiles,
   mean/stdev/spread, histogram merging);
-* the capacity fit recovers synthetic linear data as ``linear`` and
-  synthetic kneed data as ``kneed`` with the right knee;
+* the capacity fit recovers synthetic linear data exactly;
 * a run table is **bit-identical** (same digest) when re-run with the
-  same seed, and the digest detects tampering;
-* ``compare_tables``' capacity slope/knee gates and the linear-scaling
-  gate fire on synthetic regressions with the uniform failure format;
+  same seed, every shard count of one workload yields the same
+  updates, and the digest detects tampering;
+* ``compare_tables``' capacity slope gate and the linear-scaling gate
+  fire on synthetic regressions with the uniform failure format;
 * the ``bench`` CLI verb works end-to-end (run/table/compare).
 """
 
@@ -31,18 +31,13 @@ from repro.bench import (
     MatrixSpec,
     build_row,
     capacity_models,
-    cell_seed,
     compare_tables,
     expand_matrix,
-    fit_capacity,
     fit_linear,
     format_gate_failure,
     gate_linear_scaling,
     load_spec,
-    match_cell,
     merge_histograms,
-    parse_filters,
-    render_bench_csv,
     render_bench_table,
     run_matrix,
     summarize,
@@ -60,7 +55,6 @@ def tiny_spec(**overrides) -> MatrixSpec:
         seed=0,
         duration_s=0.5,
         block_seconds=0.25,
-        workers=2,
     )
     kwargs.update(overrides)
     return MatrixSpec(**kwargs)
@@ -105,39 +99,15 @@ def test_expand_matrix_deterministic_order():
         (1, "reference"), (1, "batched"), (2, "reference"), (2, "batched"),
     ]
     # unswept axes pin to defaults
-    assert all(c.sessions == 4 and c.backpressure == "block" for c in cells)
+    assert all(c.sessions == 4 for c in cells)
     assert expand_matrix(spec) == cells
-
-
-def test_expand_matrix_rejects_fault_plan_on_shards():
-    spec = MatrixSpec(
-        name="x", axes={"shards": [1], "fault_plan": ["drop=0.1"]}
-    )
-    with pytest.raises(BenchError, match="wire-fault plan with a shard"):
-        expand_matrix(spec)
 
 
 def test_cell_key_and_seed_stable():
     cell = expand_matrix(MatrixSpec(name="x"))[0]
-    assert cell.key == (
-        "sessions=4/shards=0/kernel=batched/dtype=float64/"
-        "fault_plan=/backpressure=block"
-    )
-    assert cell_seed(0, cell.key) == cell_seed(0, cell.key)
-    assert cell_seed(0, cell.key) != cell_seed(1, cell.key)
-
-
-def test_filters():
-    cells = expand_matrix(
-        MatrixSpec(name="x", axes={"shards": [0, 1], "sessions": [2, 4]})
-    )
-    filters = parse_filters(["shards=1", "cell=sessions=2"])
-    picked = [c for c in cells if match_cell(c, filters)]
-    assert [(c.sessions, c.shards) for c in picked] == [(2, 1)]
-    with pytest.raises(BenchError, match="KEY=VALUE"):
-        parse_filters(["shards"])
-    with pytest.raises(BenchError, match="filter key"):
-        parse_filters(["bogus=1"])
+    assert cell.key == "sessions=4/shards=0/kernel=batched"
+    # a row records the spec seed, the one that sampled its workload
+    assert build_row(cell, 7, [_rep()])["seed"] == 7
 
 
 def test_load_spec_json(tmp_path):
@@ -212,14 +182,13 @@ def _rep(updates=5, distance=1.25, rate=10.0):
         "sessions_per_second": rate, "samples_per_second": 200.0,
         "n_updates": updates, "total_distance_m": distance,
         "health": {"blocked": 0, "shed": 0, "rejected": 0,
-                   "degraded_blocks": 0, "reconnects": 0},
+                   "degraded_blocks": 0},
         "latency": None,
     }
 
 
 def test_build_row_flags_determinism_violation():
     cell = expand_matrix(MatrixSpec(name="x"))[0]
-    assert cell.deterministic
     row = build_row(cell, 7, [_rep(), _rep()])  # identical reps: fine
     assert row["latency_p95_s"] is None  # no latency recorded: null, not NaN
     with pytest.raises(BenchError, match="diverged"):
@@ -251,31 +220,6 @@ def test_fit_linear_exact():
     assert constant["r2"] == 1.0
 
 
-def test_fit_capacity_linear_stays_linear():
-    fit = fit_capacity([1, 2, 3, 4, 5], [2.0, 4.0, 6.0, 8.0, 10.0])
-    assert fit["model"] == "linear"
-    assert fit["knee"] is None and fit["slope_after"] is None
-    assert fit["slope"] == pytest.approx(2.0)
-
-
-def test_fit_capacity_detects_knee():
-    # linear to x=3, flat after: the classic saturation curve
-    xs = [1, 2, 3, 4, 5, 6]
-    ys = [2.0, 4.0, 6.0, 6.1, 6.15, 6.2]
-    fit = fit_capacity(xs, ys)
-    assert fit["model"] == "kneed"
-    assert fit["knee"] == 3
-    assert fit["slope"] == pytest.approx(2.0)
-    assert fit["slope_after"] < 0.2
-
-
-def test_fit_capacity_too_few_points_never_knees():
-    fit = fit_capacity([1, 2, 4], [2.0, 3.0, 3.1])  # bends, but n < 4
-    assert fit["model"] == "linear"
-    with pytest.raises(BenchError, match="strictly increasing"):
-        fit_capacity([2, 1], [1.0, 2.0])
-
-
 # ----------------------------------------------------------- run_matrix
 
 
@@ -287,18 +231,34 @@ def test_run_matrix_bit_identical_digest():
     assert p1["digest"] == p2["digest"]
     assert p1["n_cells"] == 1 and len(p1["rows"][0]["reps"]) == 2
     row = p1["rows"][0]
-    assert row["deterministic"] and row["n_updates"] > 0
+    assert row["seed"] == spec.seed  # the seed that sampled the workload
+    assert row["n_updates"] > 0
     assert row["latency_p95_s"] is not None  # obs histogram captured
     assert row["health"]["shed"] == 0
 
 
-def test_run_matrix_filters_and_empty():
-    spec = tiny_spec(axes={"sessions": [2], "kernel": ["reference", "batched"]})
-    payload = run_matrix(spec, filters=parse_filters(["kernel=batched"]))
-    assert payload["n_cells"] == 1
-    assert payload["rows"][0]["cell"]["kernel"] == "batched"
-    with pytest.raises(BenchError, match="zero cells"):
-        run_matrix(spec, filters=parse_filters(["kernel=bogus"]))
+def test_run_matrix_fleet_rows_match_in_process_row():
+    spec = tiny_spec(
+        axes={"sessions": [2], "shards": [0, 1, 2], "kernel": ["reference"]},
+        repetitions=1,
+    )
+    payload = run_matrix(spec)
+    rows = payload["rows"]
+    assert [row["cell"]["shards"] for row in rows] == [0, 1, 2]
+    # one workload through one manager or a fleet: identical estimates
+    assert len({row["n_updates"] for row in rows}) == 1
+    assert len({repr(row["total_distance_m"]) for row in rows}) == 1
+    assert all(row["latency_p95_s"] is not None for row in rows[1:])
+    assert [model["group"] for model in payload["capacity"]] == [
+        "sessions=2/kernel=reference"
+    ]
+    validate_run_table(payload)
+    assert compare_tables(payload, payload) == []
+
+
+def test_run_matrix_counts_usable_cpus(monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_matrix(tiny_spec(repetitions=1))["n_cpus"] == 1
 
 
 def test_validate_run_table_rejects_tampering():
@@ -317,10 +277,7 @@ def test_render_outputs():
     payload = run_matrix(tiny_spec(repetitions=1))
     md = render_bench_table(payload)
     assert payload["digest"] in md and "| cell |" in md
-    csv_text = render_bench_csv(payload)
-    lines = csv_text.strip().splitlines()
-    assert len(lines) == 2  # header + 1 cell
-    assert lines[0].startswith("sessions,shards,kernel,")
+    assert f"| `{payload['rows'][0]['key']}` |" in md
 
 
 # ---------------------------------------------------------------- gates
@@ -368,19 +325,6 @@ def test_compare_tables_capacity_gates_fire():
     assert halved["capacity"][0]["fit"]["slope"] == pytest.approx(1.0)
     failures = compare_tables(linear, halved)
     assert any("].capacity.slope]" in f for f in failures)
-    # a knee appearing where the baseline scaled linearly
-    knee3 = _scaling_table([2.0, 4.0, 6.0, 6.1, 6.15, 6.2])
-    assert knee3["capacity"][0]["fit"]["knee"] == 3
-    failures = compare_tables(linear, knee3)
-    assert any("].capacity.knee]" in f and "no knee" in f for f in failures)
-    # knee moving earlier beyond the budget
-    knee2 = _scaling_table([2.0, 4.0, 4.1, 4.15, 4.2, 4.25])
-    assert knee2["capacity"][0]["fit"]["knee"] == 2
-    failures = compare_tables(knee3, knee2)
-    assert any("].capacity.knee]" in f and "knee at 3" in f for f in failures)
-    # an unchanged knee passes, and a later knee is an improvement
-    assert not [f for f in compare_tables(knee3, knee3) if "capacity" in f]
-    assert not [f for f in compare_tables(knee2, knee3) if "capacity" in f]
 
 
 _GATE_FORMAT = re.compile(r"^\[.+\] measured .+ vs baseline .+ \(budget .+\)$")
@@ -415,8 +359,7 @@ def test_scaling_gate_skips_group_without_one_shard_row():
     failures, report = gate_linear_scaling(rows, n_cpus=8)
     assert failures == []
     assert report == [
-        "skipped sessions=4/kernel=batched/dtype=float64/fault_plan=/"
-        "backpressure=block: no 1-shard row to scale from"
+        "skipped sessions=4/kernel=batched: no 1-shard row to scale from"
     ]
 
 
@@ -430,7 +373,7 @@ def test_cli_bench_end_to_end(tmp_path, capsys):
     spec_path.write_text(json.dumps({
         "name": "cli", "axes": {"sessions": [2], "kernel": ["reference"]},
         "repetitions": 1, "seed": 0, "duration_s": 0.5,
-        "block_seconds": 0.25, "workers": 2,
+        "block_seconds": 0.25,
     }))
     out = tmp_path / "out"
     rc = main([
@@ -439,15 +382,16 @@ def test_cli_bench_end_to_end(tmp_path, capsys):
     assert rc == 0
     table_path = out / "run_table.json"
     assert table_path.is_file()
-    assert (out / "run_table.md").is_file()
-    assert (out / "run_table.csv").is_file()
+    assert sorted(path.name for path in out.iterdir()) == [
+        "run_table.json", "run_table.md",
+    ]
     payload = json.loads(table_path.read_text())
     validate_run_table(payload)
     capsys.readouterr()
 
-    rc = main(["bench", "table", str(table_path), "--format", "csv"])
+    rc = main(["bench", "table", str(table_path)])
     assert rc == 0
-    assert capsys.readouterr().out.startswith("sessions,shards,")
+    assert capsys.readouterr().out == (out / "run_table.md").read_text()
 
     rc = main(["bench", "compare", str(table_path), str(table_path)])
     assert rc == 0
