@@ -20,37 +20,37 @@ def nanmean(values: np.ndarray, axis=None) -> np.ndarray:
 
 
 def nanmedian(values: np.ndarray, axis=None) -> np.ndarray:
-    """np.nanmedian without the all-NaN RuntimeWarning.
+    """np.nanmedian without the all-NaN RuntimeWarning, one sort per call.
 
-    ``np.nanmedian`` compacts every slice through its NaN-stripping
-    apply-along-axis machinery even when a slice holds no NaN at all.
-    Lag-matrix slices here are usually clean (losses are bursty, not
-    uniform), so clean slices are routed through the partition-based
-    ``np.median`` instead and only NaN-carrying slices pay the slow
-    path.  Both reductions sort the same values, so the split is
-    bit-identical to calling ``np.nanmedian`` on everything.
+    Along an integer axis of a float array, every slice is sorted once
+    (NaNs sort last) and, with ``n`` non-NaN values, the result is
+    ``(s[(n - 1) // 2] + s[n // 2]) / 2``: NaN when ``n == 0``.  Those
+    are the two operands and the expression of ``np.nanmedian``'s
+    masked-median path, so the result is bit-identical to it, ties and
+    ±inf included, without that path's masked-array cost — which every
+    alignment matrix would pay, since the rows near either end of a
+    trace carry out-of-band NaNs.  (``np.median`` returns the middle of
+    an odd count directly; the two differ only where doubling it
+    overflows.)  Other calls go to ``np.nanmedian``.
     """
     values = np.asarray(values)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=RuntimeWarning)
-        if (
-            not isinstance(axis, int)
-            or values.dtype.kind != "f"
-            or values.ndim < 1
-            or values.size == 0
-        ):
+    if (
+        not isinstance(axis, int)
+        or values.dtype.kind != "f"
+        or values.ndim < 2
+        or values.size == 0
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", category=RuntimeWarning)
             return np.nanmedian(values, axis=axis)
-        nan_slices = np.isnan(values).any(axis=axis)
-        if not nan_slices.any():
-            return np.median(values, axis=axis)
-        if nan_slices.all():
-            return np.nanmedian(values, axis=axis)
-        rows = np.moveaxis(values, axis, -1).reshape(-1, values.shape[axis])
-        dirty = nan_slices.ravel()
-        out = np.empty(dirty.shape, dtype=values.dtype)
-        out[~dirty] = np.median(rows[~dirty], axis=-1)
-        out[dirty] = np.nanmedian(rows[dirty], axis=-1)
-        return out.reshape(nan_slices.shape)
+    ordered = np.sort(values, axis=axis)
+    n = np.count_nonzero(~np.isnan(values), axis=axis, keepdims=True)
+    # With n == 0 both picks land on NaN (index -1 is the last element).
+    low = np.take_along_axis(ordered, (n - 1) // 2, axis=axis)
+    high = np.take_along_axis(ordered, n // 2, axis=axis)
+    with np.errstate(all="ignore"):  # -inf + inf, overflow: silent, as above
+        middle = (low + high) / 2
+    return np.squeeze(middle, axis=axis)
 
 
 def nanmax(values: np.ndarray, axis=None) -> np.ndarray:

@@ -58,7 +58,7 @@ import secrets
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -268,6 +268,9 @@ class NetServer:
         self._thread: Optional[threading.Thread] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._attachments: Dict[str, _Attachment] = {}
+        # Live connection handlers and their heartbeats; shutdown cancels
+        # and awaits them so none is left pending when the loop stops.
+        self._tasks: Set[asyncio.Task] = set()
         self._next_session_id = 1
         self._started = threading.Event()
         self._closed = False
@@ -348,7 +351,17 @@ class NetServer:
     async def _shutdown(self) -> None:
         if self._server is not None:
             self._server.close()
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
+
+    def _track(self, task: asyncio.Task) -> None:
+        """Hold ``task`` for :meth:`_shutdown` until it finishes."""
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     # -- stats --------------------------------------------------------------
 
@@ -372,6 +385,9 @@ class NetServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        if task is not None:  # start_server runs every handler as a task
+            self._track(task)
         self.n_connections += 1
         obs.add("net.connections")
         decoder = FrameDecoder()
@@ -418,6 +434,7 @@ class NetServer:
                         heartbeat = asyncio.get_running_loop().create_task(
                             self._heartbeat(att, writer)
                         )
+                        self._track(heartbeat)
                         continue
                     status = await self._handle_frame(
                         att, frame, writer, batch, decoder

@@ -6,7 +6,7 @@ streaming cross-block row cache:
 * :mod:`repro.perf.kernels` — ``batched`` (the default: BLAS band GEMMs
   over a shared row store, with cell reuse) and ``reference`` (the
   serial per-pair oracle the tests compare against);
-* :mod:`repro.perf.dptrack` — batched DP peak tracking, a native banded
+* :mod:`repro.perf.dptrack` — batched DP peak tracking, a pruned native
   kernel with an exact numpy fallback;
 * :mod:`repro.perf.streamcache` — incremental reuse of the context
   window's TRRS rows across streaming blocks.

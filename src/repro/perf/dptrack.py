@@ -1,4 +1,4 @@
-"""Batched DP peak tracking: banded native sweep + exact numpy fallback.
+"""Batched DP peak tracking: pruned native sweep + exact numpy fallback.
 
 The reference tracker (:func:`repro.core.tracking.track_peaks`) runs the
 Bellman recursion of §4.2 one matrix at a time, with a per-step ``(L, L)``
@@ -7,13 +7,13 @@ supplies the batched formulation the ``batched`` kernel backend uses for
 its ``track_paths`` capability: the forward pass runs over a whole
 *stack* of alignment matrices at once, and two implementations serve it —
 
-* a **native banded kernel** (``_dptrack.c``), compiled on demand with
-  the system C compiler and cached as a shared library.  It sweeps the
+* a **native kernel** (``_dptrack.c``), compiled on demand with the
+  system C compiler and cached as a shared library.  It sweeps the
   candidate table lag-outermost with a branchless blend that reproduces
-  ``np.argmax``'s first-index tie-break exactly, and prunes the sweep to
-  the data-adaptive dominance radius ``(base_max - base_min) / c + 4``
-  (see the safety argument in the C source and
-  ``docs/performance.md``);
+  ``np.argmax``'s first-index tie-break exactly, over only the origin
+  lags no other origin beats in every column: two O(L) running-max
+  sweeps of the jump-cost cone mark the rest (see the proof in the C
+  source and ``docs/performance.md``);
 * an **exact numpy fallback** that evaluates the same candidate sums
   batched across matrices (``cand[p, n, l] = base[p, l] + jc[n, l]``,
   lossless because the jump cost is symmetric) with a contiguous
@@ -128,7 +128,7 @@ def _load_native() -> Optional[ctypes.CDLL]:
 
 
 def native_available() -> bool:
-    """Whether the compiled banded kernel is (buildable and) loaded."""
+    """Whether the compiled native kernel is (buildable and) loaded."""
     return _load_native() is not None
 
 
@@ -144,7 +144,7 @@ def _jump_cost(n_lags: int, transition_weight: float, dtype) -> np.ndarray:
 
 
 def _forward_native(
-    lib: ctypes.CDLL, e: np.ndarray, jc: np.ndarray, c: float
+    lib: ctypes.CDLL, e: np.ndarray, jc: np.ndarray, omega: float
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Run the compiled forward pass; None when L exceeds its stack cap."""
     n_mat, t, n_lags = e.shape
@@ -163,7 +163,7 @@ def _forward_native(
         ctypes.c_ssize_t(n_mat),
         ctypes.c_ssize_t(t),
         ctypes.c_ssize_t(n_lags),
-        ctype(c),
+        ctype(omega),
     )
     if rc != 0:
         return None
@@ -217,9 +217,7 @@ def dp_track_batch(
     lib = _load_native()
     native = None
     if lib is not None:
-        # c > 0 is the per-lag cost slope the dominance band divides by.
-        c = -transition_weight / max(1, n_lags - 1)
-        native = _forward_native(lib, e, jc, c)
+        native = _forward_native(lib, e, jc, transition_weight)
     if native is not None:
         backptr, score = native
     else:

@@ -23,12 +23,18 @@ of computed cells, which buys two kinds of reuse:
   needs the same pair at full resolution;
 * :class:`~repro.core.streaming.StreamingRim` seeds the store with the
   previous block's rows (see :mod:`repro.perf.streamcache`), so only the
-  cells involving newly pushed samples are evaluated per block.
+  cells involving newly pushed samples are evaluated per block;
+* a pair and its reverse share one band: TRRS is symmetric, so
+  ``G_ji[t, l] = G_ij[t - l, -l]`` and only the ``i < j`` orientation is
+  computed and stored (hexagonal arrays request both, because
+  ``parallel_groups`` flips members onto a shared ray and the ring is
+  ordered by angle).
 
 Every backend must be numerically equivalent to ``reference``: NaN
 propagation from lost packets is identical cell for cell, and values
 agree within 1e-9 (the GEMM accumulation order differs from einsum's by
-a few float64 ulps; the gather kernel is bit-identical).
+a few float64 ulps, as does a reversed pair's conjugated inner product;
+the gather kernel is bit-identical).
 ``tests/test_kernel_backends.py`` enforces this on clean and
 fault-injected traces.
 """
@@ -142,15 +148,21 @@ class ReferenceBackend(KernelBackend):
         ]
 
 
+def canonical_pair(i: int, j: int) -> Tuple[Tuple[int, int], bool]:
+    """Store key of pair ``(i, j)`` and whether the request is reversed."""
+    return ((j, i), True) if i > j else ((i, j), False)
+
+
 class BaseRowStore:
     """Per-trace store of computed base-TRRS cells for antenna pairs.
 
-    For each ordered pair key ``(i, j)`` it holds a ``(T, 2W+1)`` value
-    matrix (NaN where never computed or outside the lag band) and a
+    For each pair key ``(i, j)`` with ``i < j`` it holds a ``(T, 2W+1)``
+    value matrix (NaN where never computed or outside the lag band) and a
     boolean ``known`` mask of the same shape marking cells that have been
     evaluated.  Requests only compute cells that are requested, inside
     the band, and not yet known — which is what makes pre-screen rows,
-    cross-stage rows, and cross-block seeded rows free.
+    cross-stage rows, and cross-block seeded rows free.  A request for
+    ``(j, i)`` reads the ``(i, j)`` band through :meth:`oriented`.
     """
 
     def __init__(self, norm: np.ndarray, max_lag: int, dtype=np.float64):
@@ -175,6 +187,29 @@ class BaseRowStore:
             self.values[key] = np.full((self.t, self.n_lags), np.nan, dtype=self.dtype)
             self.known[key] = np.zeros((self.t, self.n_lags), dtype=bool)
         return self.values[key], self.known[key]
+
+    def oriented(self, i: int, j: int) -> np.ndarray:
+        """The stored band of pair ``(i, j)`` in the requested orientation.
+
+        The ``i < j`` band itself, or, for a reversed request, a fresh
+        gather of it: ``G_ji[t, l] = kappa(P_j(t), P_i(t - l)) =
+        G_ij[t - l, -l]``, NaN where ``t - l`` leaves the trace — the same
+        band mask.  The gather is a skewed view: padding the band with W
+        NaN rows on each side, ``skew[r, c] = pad[r + c, c]`` is
+        ``G_ij[r + c - W, c]``, and its reversed columns are ``G_ji``.
+        """
+        key, reverse = canonical_pair(i, j)
+        vals = self.values[key]
+        if not reverse:
+            return vals
+        w = self.max_lag
+        pad = np.full((self.t + 2 * w, self.n_lags), np.nan, dtype=self.dtype)
+        pad[w : w + self.t] = vals
+        s0, s1 = pad.strides
+        skew = np.lib.stride_tricks.as_strided(
+            pad, shape=vals.shape, strides=(s0, s0 + s1), writeable=False
+        )
+        return skew[:, ::-1].copy()
 
     def band(self) -> np.ndarray:
         """(T, 2W+1) mask of in-band cells: the partner sample t-l exists."""
@@ -254,7 +289,7 @@ class BatchedBackend(KernelBackend):
 
         Matrices are grouped by shape (one pipeline stage's matrices all
         share one) and each group runs through
-        :func:`repro.perf.dptrack.dp_track_batch` — the banded native
+        :func:`repro.perf.dptrack.dp_track_batch` — the pruned native
         kernel when available, the exact batched numpy recursion
         otherwise.  In float64 mode the paths are bit-identical to the
         reference oracle; in float32 mode the evidence is quantized once
@@ -320,7 +355,7 @@ class BatchedBackend(KernelBackend):
             lags = np.arange(-w, w + 1)
             out = []
             for p in pairs:
-                vals = store.values[(p.i, p.j)]
+                vals = store.oriented(p.i, p.j)
                 if rows is not None:
                     # The store may know more rows than this strided request
                     # (seeded or computed by another stage); the reference
@@ -330,6 +365,8 @@ class BatchedBackend(KernelBackend):
                     values = masked
                 elif virtual_window > 1:
                     values = nan_moving_average(vals, virtual_window)
+                elif p.i > p.j:
+                    values = vals  # already a fresh gather
                 else:
                     values = vals.copy()
                 out.append(
@@ -365,11 +402,14 @@ def _compute_cells(
 ) -> int:
     """Evaluate all requested-but-unknown cells for ``pairs``; count them.
 
-    Needs are tracked **per pair**: a pair whose requested cells are all
-    known (seeded from the stream cache, or computed by an earlier
-    stage's request) costs nothing even when it shares a request with a
-    fresh pair.  Each pair's rows with at least one unknown requested
-    in-band cell are split into contiguous runs.  Long runs go to the
+    Needs are tracked **per stored pair**: a pair whose requested cells
+    are all known (seeded from the stream cache, or computed by an
+    earlier stage's request) costs nothing even when it shares a request
+    with a fresh pair.  A pair and its reverse share one stored band; a
+    reversed pair reads it transposed (``G_ji[t, l] = G_ij[t - l, -l]``),
+    which touches every row, so inside a strided request it needs the
+    band at full rows.  Each stored pair's rows with at least one unknown
+    requested in-band cell are split into contiguous runs.  Long runs go to the
     BLAS band kernel: one batched GEMM per (pair, run-chunk) against the
     ``[t-W, t+W]`` partner window produces the re/im inner products of
     every (row, lag) cell across all TX chains at once — dgemm turns the
@@ -379,18 +419,25 @@ def _compute_cells(
     one einsum across all pairs that need them.
     """
     t, n_lags, w = store.t, store.n_lags, store.max_lag
-    keys = [(p.i, p.j) for p in pairs]
-    entries = [store.entry(k) for k in keys]
-
+    all_rows = np.ones(t, dtype=bool)
     if rows is None:
-        row_mask = np.ones(t, dtype=bool)
+        row_mask = all_rows
     else:
         row_mask = np.zeros(t, dtype=bool)
         row_mask[rows] = True
+    wanted: Dict[Tuple[int, int], np.ndarray] = {}
+    for p in pairs:
+        key, reverse = canonical_pair(p.i, p.j)
+        need = all_rows if reverse else row_mask
+        prev = wanted.get(key)
+        wanted[key] = need if prev is None else need | prev
+    keys = list(wanted)
+    entries = [store.entry(k) for k in keys]
 
     band = store.band()
-    request = band & row_mask[:, None]
-    pair_needed = [request & ~known for _, known in entries]
+    pair_needed = [
+        band & wanted[k][:, None] & ~known for k, (_, known) in zip(keys, entries)
+    ]
     fresh = int(sum(pn.sum() for pn in pair_needed))
     if fresh == 0:
         return 0

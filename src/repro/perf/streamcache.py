@@ -130,7 +130,9 @@ class StreamAlignmentCache:
         w = store.max_lag
         for key, (vals, known) in self.entries.items():
             n = min(vals.shape[0] - shift, store.t)
-            if n <= 0:
+            # Stores keep one band per pair, keyed i < j; checkpoints from
+            # before that may still carry reversed keys.
+            if n <= 0 or key[0] > key[1]:
                 continue
             v_new, k_new = store.entry(key)
             v_new[:n] = vals[shift : shift + n]

@@ -9,6 +9,8 @@ These are the acceptance tests for that contract, plus the two
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -169,11 +171,18 @@ def _assert_matrices_match(ref_mats, bat_mats):
         ), f"values differ for pair {rm.pair}"
 
 
+def _both_orientations(array):
+    """Every pair and its reverse: the batched store keeps one band for
+    both, and serves ``(j, i)`` by reading the ``(i, j)`` band transposed."""
+    pairs = all_pairs(array)
+    return pairs + [dataclasses.replace(p, i=p.j, j=p.i) for p in pairs]
+
+
 @pytest.mark.parametrize("plan_name", sorted(FAULT_PLANS))
 @pytest.mark.parametrize("virtual_window", [1, 8])
 def test_raw_matrices_match_reference(line_trace, plan_name, virtual_window):
     trace = _faulted(line_trace, plan_name)
-    pairs = all_pairs(trace.array)
+    pairs = _both_orientations(trace.array)
     ref, bat, rs, bs = _stores(trace)
     kw = dict(virtual_window=virtual_window, sampling_rate=trace.sampling_rate)
     _assert_matrices_match(
@@ -182,14 +191,33 @@ def test_raw_matrices_match_reference(line_trace, plan_name, virtual_window):
 
 
 def test_strided_matrices_match_reference(line_trace):
-    pairs = all_pairs(line_trace.array)
+    """Under every fault plan.  Stride 8 rows merge into band GEMMs;
+    stride 24 rows stay scattered and go to the gather kernel."""
+    for plan_name in sorted(FAULT_PLANS):
+        trace = _faulted(line_trace, plan_name)
+        pairs = _both_orientations(trace.array)
+        for time_stride in (8, 24):
+            ref, bat, rs, bs = _stores(trace)
+            kw = dict(
+                virtual_window=1,
+                sampling_rate=trace.sampling_rate,
+                time_stride=time_stride,
+            )
+            _assert_matrices_match(
+                ref.matrices(rs, pairs, **kw), bat.matrices(bs, pairs, **kw)
+            )
+
+
+def test_reversed_request_stores_one_band(line_trace):
+    """A ``(1, 0)`` request computes and keeps only the ``(0, 1)`` band."""
+    (pair,) = [p for p in all_pairs(line_trace.array) if (p.i, p.j) == (0, 1)]
+    reversed_pair = dataclasses.replace(pair, i=1, j=0)
     ref, bat, rs, bs = _stores(line_trace)
-    kw = dict(
-        virtual_window=1, sampling_rate=line_trace.sampling_rate, time_stride=8
-    )
-    _assert_matrices_match(
-        ref.matrices(rs, pairs, **kw), bat.matrices(bs, pairs, **kw)
-    )
+    kw = dict(virtual_window=1, sampling_rate=line_trace.sampling_rate)
+    got = bat.matrices(bs, [reversed_pair], **kw)
+    assert list(bs.values) == [(0, 1)]
+    assert got[0].pair == (1, 0)
+    _assert_matrices_match(ref.matrices(rs, [reversed_pair], **kw), got)
 
 
 def test_strided_then_full_request_reuses_rows(line_trace):

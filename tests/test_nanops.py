@@ -6,6 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.nanops import nanmax, nanmean, nanmedian
 
@@ -61,3 +64,35 @@ def test_does_not_suppress_warnings_for_caller(func):
 def test_nanmax_all_nan_no_value_error():
     # Plain np.nanmax warns (not raises) on all-NaN; the wrapper must too.
     assert np.isnan(nanmax(np.array([np.nan, np.nan])))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_nanmedian_bit_identical_to_numpy(data):
+    """The one-sort median equals np.nanmedian bit for bit (NaN for NaN):
+    ties, NaN, ±inf, extreme magnitudes and all-NaN slices included."""
+    dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+    width = 32 if dtype is np.float32 else 64
+    # A handful of repeated values makes ties the common case.
+    elements = st.one_of(
+        st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0, 0.25, 0.5]),
+        st.floats(width=width),
+    )
+    shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=9))
+    values = data.draw(hnp.arrays(dtype, shape, elements=elements))
+    axis = data.draw(st.sampled_from([0, 1]))
+    if data.draw(st.booleans()):
+        # One whole slice along the reduced axis is lost.
+        k = data.draw(st.integers(0, shape[1 - axis] - 1))
+        if axis == 1:
+            values[k, :] = np.nan
+        else:
+            values[:, k] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=RuntimeWarning)
+        want = np.nanmedian(values, axis=axis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nanmedian(values, axis=axis)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)

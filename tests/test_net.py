@@ -1,5 +1,7 @@
 """Tests for the fault-tolerant network ingestion front-end (repro.net)."""
 
+import gc
+import logging
 import threading
 
 import numpy as np
@@ -640,6 +642,34 @@ class TestLoopback:
             assert int(rows[0]["acked"]) == net_trace.n_samples - 1
         finally:
             server.close()
+
+    def test_close_finishes_connection_tasks(self, net_trace, caplog):
+        # A client still connected at close: its handler and heartbeat
+        # tasks must finish before the loop stops, not be left pending
+        # for the garbage collector (which logs each one on "asyncio").
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            server = NetServer(config=NetServerConfig(port=0)).start()
+            client = NetClient(
+                server.config.host,
+                server.port,
+                "rx00",
+                net_trace.array,
+                net_trace.sampling_rate,
+                sample_shape=tuple(net_trace.data.shape[1:]),
+                carrier_wavelength=net_trace.carrier_wavelength,
+            )
+            try:
+                client.connect()
+            finally:
+                server.close()
+                client.close()
+            del server
+            gc.collect()
+        destroyed = [
+            r for r in caplog.records
+            if r.name == "asyncio" and "Task was destroyed" in r.getMessage()
+        ]
+        assert destroyed == []
 
 
 # -- graceful shutdown ---------------------------------------------------------

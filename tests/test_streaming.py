@@ -7,7 +7,9 @@ from repro import obs
 from repro.core.config import RimConfig
 from repro.core.rim import Rim
 from repro.core.streaming import StreamingRim
+from repro.core.trrs import normalize_csi
 from repro.motionsim.profiles import line_trajectory, still_trajectory
+from repro.perf import BatchedBackend, StreamAlignmentCache
 
 
 def _stream_trace(stream, trace):
@@ -274,6 +276,28 @@ class TestStreamAlignmentCache:
         assert stream._align_cache.invalidations >= 1
         # No new seeding happened after the clock went bad.
         assert stream._align_cache.seeded_cells == primed
+
+    def test_seed_skips_reversed_keys(self, line_trace):
+        """The store keeps one band per pair, keyed i < j; a checkpoint
+        from before that may still hold a (j, i) entry, which must not
+        be seeded."""
+        store = BatchedBackend().make_store(normalize_csi(line_trace.data), 25)
+        shape = (store.t, store.n_lags)
+        cache = StreamAlignmentCache()
+        cache.load_state_dict(
+            {
+                "offset": 0,
+                "max_lag": 25,
+                "seeded_cells": 0,
+                "invalidations": 0,
+                "entries": {
+                    key: (np.zeros(shape), np.ones(shape, dtype=bool))
+                    for key in ((0, 1), (1, 0))
+                },
+            }
+        )
+        cache.seed(store, 0)
+        assert list(store.values) == [(0, 1)]
 
 
 class TestFusedSanitize:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import Rim, RimConfig
 from repro.core.alignment import AlignmentMatrix
 from repro.core.tracking import greedy_argmax_path, refine_lags, track_peaks
 from repro.perf import dptrack
@@ -198,6 +199,17 @@ def dp_impl(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture(scope="module")
+def production_stack(hex_line_trace):
+    """L = 201 evidence: every matrix ``Rim`` tracks on a hexagonal walk at
+    the default max_lag (group averages and ring pairs)."""
+    result = Rim(RimConfig()).process(hex_line_trace)
+    tracks = result.group_tracks + result.ring_tracks
+    stack = np.stack([trk.matrix.values for trk in tracks])
+    assert stack.shape[2] == 2 * RimConfig().max_lag + 1 == 201
+    return stack
+
+
 class TestBatchedDPMatchesReference:
     """dp_track_batch must be bit-identical to the reference recursion:
     same candidate sums, same first-index tie-breaks, same scores."""
@@ -233,6 +245,32 @@ class TestBatchedDPMatchesReference:
         stack = rng.integers(0, 4, size=(5, 16, 9)) / 4.0
         self._check(stack)
         self._check(stack, transition_weight=-0.5)
+
+    def test_production_shape_stack(self, dp_impl, production_stack):
+        """Real TRRS evidence at the default lag count, where the native
+        sweep drops all but a few origins per step."""
+        self._check(production_stack)
+
+    def test_plateau_stack_prunes_nothing(self, dp_impl):
+        """Every origin has the same base at every step, so none is
+        dominated and the native sweep visits all L of them."""
+        self._check(np.full((3, 12, 41), 0.5))
+        self._check(np.full((2, 5, 41), 0.5), transition_weight=-7.3)
+
+    def test_winning_origin_far_from_diagonal(self, dp_impl):
+        """Evidence jumps across the lag axis, so the best origin of the
+        far columns lies at the other end of the band."""
+        n_lags = 61
+        stack = np.full((2, 24, n_lags), 0.05)
+        stack[0, :12, 2] = 1.0
+        stack[0, 12:, n_lags - 3] = 1.0
+        stack[1, :12, n_lags - 1] = 1.0
+        stack[1, 12:, 0] = 1.0
+        want_idx, _ = _oracle(stack, transition_weight=-0.1)
+        assert (want_idx[0, 11], want_idx[0, 12]) == (2, n_lags - 3)
+        assert (want_idx[1, 11], want_idx[1, 12]) == (n_lags - 1, 0)
+        self._check(stack, transition_weight=-0.1)
+        self._check(stack)
 
     def test_single_time_step(self, dp_impl, rng):
         self._check(rng.uniform(0, 1, size=(3, 1, 11)))
