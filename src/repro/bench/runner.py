@@ -59,6 +59,7 @@ def run_cell(
     # max_lag=60 is the lag window `repro.cli demo` runs too, so a traced
     # demo profiles the same kernel work a bench cell times.
     rim_config = RimConfig(max_lag=60, kernel_backend=cell.kernel)
+    serve_config = ServeConfig(block_seconds=spec.block_seconds)
     was_enabled = obs.enabled()
     obs.reset()
     obs.enable()
@@ -69,13 +70,11 @@ def run_cell(
     try:
         if cell.shards >= 1:
             router = ShardRouter(
-                cell.shards,
-                rim_config=rim_config,
-                serve_config=ServeConfig(block_seconds=spec.block_seconds),
+                cell.shards, rim_config=rim_config, serve_config=serve_config
             )
         result = run_serve_sim(
-            receivers=receivers,
-            block_seconds=spec.block_seconds,
+            receivers,
+            serve_config=serve_config,
             rim_config=rim_config,
             should_stop=should_stop,
             router=router,

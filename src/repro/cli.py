@@ -116,6 +116,37 @@ def _add_telemetry_flags(sub_parser) -> None:
     )
 
 
+def _add_serving_flags(sub_parser, receivers: bool = False) -> None:
+    """The serving flags ``_serve_config`` reads; with ``receivers``, also
+    the flags ``_receivers`` reads."""
+    if receivers:
+        sub_parser.add_argument(
+            "--sessions", type=int, default=8, help="simulated receiver count"
+        )
+        sub_parser.add_argument("--seed", type=int, default=0, help="testbed seed")
+        sub_parser.add_argument(
+            "--duration", type=float, default=2.0,
+            help="per-receiver trajectory duration, seconds",
+        )
+        sub_parser.add_argument(
+            "--store-dir", default=None, metavar="DIR",
+            help="replay recorded receivers from this store / fleet directory "
+            "instead of simulating",
+        )
+    sub_parser.add_argument(
+        "--policy", default="block", choices=BACKPRESSURE_POLICIES,
+        help="backpressure policy for a full ingest queue",
+    )
+    sub_parser.add_argument(
+        "--queue-capacity", type=int, default=256,
+        help="per-session ingest queue bound (packets)",
+    )
+    sub_parser.add_argument(
+        "--block-seconds", type=float, default=1.0,
+        help="streaming emission cadence, seconds",
+    )
+
+
 @contextlib.contextmanager
 def _telemetry(args):
     """Wire the telemetry flags around a long-running verb.
@@ -226,20 +257,43 @@ def cmd_demo(args) -> int:
     return 0
 
 
+def _serve_config(args):
+    """The ``ServeConfig`` the shared serving flags describe."""
+    from repro.serve.session import ServeConfig
+
+    return ServeConfig(
+        backpressure=args.policy,
+        queue_capacity=args.queue_capacity,
+        block_seconds=args.block_seconds,
+    )
+
+
+def _receivers(args):
+    """The receivers the flags pick, and a phrase describing them:
+    the stores under ``--store-dir``, else ``--sessions`` simulated ones."""
+    from repro.serve.simulate import simulated_receivers, store_receivers
+
+    if args.store_dir:
+        return (
+            store_receivers(args.store_dir),
+            f"recorded receivers from {args.store_dir}",
+        )
+    receivers = simulated_receivers(
+        args.sessions, seed=args.seed, duration_s=args.duration
+    )
+    return receivers, f"{args.sessions} simulated receivers"
+
+
 def cmd_serve_sim(args) -> int:
     from repro.serve.simulate import render_serve_table, run_serve_sim
     from repro.shutdown import GracefulShutdown
 
     with _telemetry(args), GracefulShutdown() as stop:
+        receivers, source = _receivers(args)
         result = run_serve_sim(
-            n_sessions=args.sessions,
+            receivers,
+            serve_config=_serve_config(args),
             n_workers=args.workers,
-            seed=args.seed,
-            duration_s=args.duration,
-            backpressure=args.policy,
-            queue_capacity=args.queue_capacity,
-            block_seconds=args.block_seconds,
-            store_dir=args.store_dir,
             record_dir=args.record_dir,
             should_stop=stop.stopper(),
             shards=args.shards,
@@ -250,11 +304,6 @@ def cmd_serve_sim(args) -> int:
             "and flushed",
             file=sys.stderr,
         )
-    source = (
-        f"recorded receivers from {args.store_dir}"
-        if args.store_dir
-        else f"{args.sessions} simulated receivers"
-    )
     over = (
         f"{args.shards} shard processes" if args.shards else f"{args.workers} workers"
     )
@@ -387,7 +436,6 @@ def cmd_net_serve(args) -> int:
     from pathlib import Path
 
     from repro.net import NetServer, NetServerConfig, render_net_table
-    from repro.serve.session import ServeConfig
     from repro.shutdown import GracefulShutdown
 
     config = NetServerConfig(
@@ -397,11 +445,7 @@ def cmd_net_serve(args) -> int:
         heartbeat_s=args.heartbeat,
         idle_timeout_s=args.idle_timeout,
     )
-    serve_config = ServeConfig(
-        backpressure=args.policy,
-        queue_capacity=args.queue_capacity,
-        block_seconds=args.block_seconds,
-    )
+    serve_config = _serve_config(args)
     router = None
     if args.shards:
         from repro.shard.router import ShardRouter, fleet_sync_loop
@@ -469,24 +513,10 @@ def cmd_net_serve(args) -> int:
 
 def cmd_net_load(args) -> int:
     from repro.net import NetFaultPlan, render_net_table, run_net_load
-    from repro.serve.session import ServeConfig
-    from repro.serve.simulate import simulated_receivers, store_receivers
     from repro.shutdown import GracefulShutdown
 
-    if args.store_dir:
-        receivers = store_receivers(args.store_dir)
-        source = f"recorded receivers from {args.store_dir}"
-    else:
-        receivers = simulated_receivers(
-            args.sessions, seed=args.seed, duration_s=args.duration
-        )
-        source = f"{args.sessions} simulated receivers"
+    receivers, source = _receivers(args)
     plan = NetFaultPlan.from_spec(args.fault_plan) if args.fault_plan else None
-    serve_config = ServeConfig(
-        backpressure=args.policy,
-        queue_capacity=args.queue_capacity,
-        block_seconds=args.block_seconds,
-    )
     loopback = args.host is None
     print(
         f"streaming {source} over "
@@ -497,7 +527,7 @@ def cmd_net_load(args) -> int:
         result = run_net_load(
             receivers,
             fault_plan=plan,
-            serve_config=serve_config,
+            serve_config=_serve_config(args),
             host=args.host,
             port=args.port,
             check_baseline=loopback and not args.no_baseline,
@@ -741,9 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-sim",
         help="replay N simulated receivers concurrently through repro.serve",
     )
-    serve.add_argument(
-        "--sessions", type=int, default=8, help="simulated receiver count"
-    )
+    _add_serving_flags(serve, receivers=True)
     serve.add_argument(
         "--workers", type=int, default=4,
         help="threads driving the sessions of an in-process run",
@@ -752,28 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=0, metavar="N",
         help="fan sessions across N shard worker processes (repro.shard) "
         "instead of one in-process manager",
-    )
-    serve.add_argument("--seed", type=int, default=0, help="testbed seed")
-    serve.add_argument(
-        "--duration", type=float, default=2.0,
-        help="per-receiver trajectory duration, seconds",
-    )
-    serve.add_argument(
-        "--policy", default="block", choices=BACKPRESSURE_POLICIES,
-        help="backpressure policy for a full ingest queue",
-    )
-    serve.add_argument(
-        "--queue-capacity", type=int, default=256,
-        help="per-session ingest queue bound (packets)",
-    )
-    serve.add_argument(
-        "--block-seconds", type=float, default=1.0,
-        help="streaming emission cadence, seconds",
-    )
-    serve.add_argument(
-        "--store-dir", default=None, metavar="DIR",
-        help="replay recorded receivers from this store / fleet directory "
-        "instead of simulating",
     )
     serve.add_argument(
         "--record-dir", default=None, metavar="DIR",
@@ -844,18 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan sessions across N shard worker processes (repro.shard); "
         "with --record-dir, a dead shard's sessions resume on survivors",
     )
-    net_serve.add_argument(
-        "--policy", default="block", choices=BACKPRESSURE_POLICIES,
-        help="backpressure policy for a full ingest queue",
-    )
-    net_serve.add_argument(
-        "--queue-capacity", type=int, default=256,
-        help="per-session ingest queue bound (packets)",
-    )
-    net_serve.add_argument(
-        "--block-seconds", type=float, default=1.0,
-        help="streaming emission cadence, seconds",
-    )
+    _add_serving_flags(net_serve)
     net_serve.add_argument(
         "--reorder-window", type=int, default=64,
         help="out-of-order samples buffered before a gap is skipped",
@@ -886,36 +881,13 @@ def build_parser() -> argparse.ArgumentParser:
     net_load.add_argument(
         "--port", type=int, default=7316, help="server port (with --host)"
     )
-    net_load.add_argument(
-        "--sessions", type=int, default=2, help="simulated receiver count"
-    )
-    net_load.add_argument("--seed", type=int, default=0, help="testbed seed")
-    net_load.add_argument(
-        "--duration", type=float, default=2.0,
-        help="per-receiver trajectory duration, seconds",
-    )
-    net_load.add_argument(
-        "--store-dir", default=None, metavar="DIR",
-        help="replay recorded receivers from this store / fleet directory "
-        "instead of simulating",
-    )
+    _add_serving_flags(net_load, receivers=True)
+    net_load.set_defaults(sessions=2)
     net_load.add_argument(
         "--fault-plan", default="", metavar="SPEC",
         help="wire faults injected between client and server, e.g. "
         '"drop=0.05,reorder=0.1,corrupt=0.02,disconnect=100" '
         "(see repro.net.NetFaultPlan.from_spec)",
-    )
-    net_load.add_argument(
-        "--policy", default="block", choices=BACKPRESSURE_POLICIES,
-        help="backpressure policy for a full ingest queue",
-    )
-    net_load.add_argument(
-        "--queue-capacity", type=int, default=256,
-        help="per-session ingest queue bound (packets)",
-    )
-    net_load.add_argument(
-        "--block-seconds", type=float, default=1.0,
-        help="streaming emission cadence, seconds",
     )
     net_load.add_argument(
         "--no-baseline", action="store_true",

@@ -446,6 +446,23 @@ class StreamingRim:
         times = np.asarray(self._times)
         t = data.shape[0]
         start_new = self._pending_start
+        if t < 2:
+            # Rim.process needs two samples to define a sampling rate, and
+            # a lone sample carries no motion: emit it as a still update.
+            self._pending_start = t
+            return MotionUpdate(
+                times=times.copy(),
+                speed=np.zeros(t),
+                heading=np.full(t, np.nan),
+                moving=np.zeros(t, dtype=bool),
+                block_distance=0.0,
+                total_distance=self._total_distance,
+                health=HealthReport(
+                    n_samples=t,
+                    n_chains=self.array.n_antennas,
+                    repairs=self._guard.drain_counters(),
+                ),
+            )
         times, resampled = self._repair_clock(times)
         if resampled and self._align_cache is not None:
             # The clock repair changes nothing in the CSI data, but it marks

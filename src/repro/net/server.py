@@ -41,13 +41,17 @@ handles the rest.
 Thread model: the asyncio loop runs on a daemon thread so synchronous
 code (CLI, tests, benchmarks) can drive the server with plain calls.
 Transport state — decoder, sequence tracker, ack/update bookkeeping — is
-touched only from the loop thread.  Estimator work
-(``SessionManager.push``, ``ServeSession.poll``/``flush``) runs on a
-dedicated single-thread executor per session, preserving the serve
-layer's single-producer contract while keeping the event loop free: a
-slow estimator block (notably ``backpressure="block"``, whose offer
-drains the whole queue synchronously) stalls only its own session, never
-heartbeats, acks, or other sessions' I/O.
+touched only from the loop thread.  Estimator work runs on one thread per
+live session (a single-thread executor, released at BYE), one call per
+TCP read: push the read's samples, fold the transport repairs, then poll
+— or flush at BYE.  That keeps the serve layer's single-producer contract
+and the event loop free: a slow estimator block (notably
+``backpressure="block"``, whose offer drains the whole queue
+synchronously) stalls only its own session, never heartbeats, acks, or
+other sessions' I/O.  Sessions do not share a pool: a session whose calls
+move between threads spreads its buffers over glibc's per-thread malloc
+arenas, which raised the ``wire_replay`` benchmark's peak RSS by 30-45%
+on a 2-core host.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.config import RimConfig
+from repro.core.streaming import MotionUpdate
 from repro.io import array_from_manifest
 from repro.net import framing
 from repro.net.framing import Frame, FrameDecoder, FrameError
@@ -190,7 +195,7 @@ class _Attachment:
     sample_shape: Tuple[int, ...]
     array_manifest: Any  # HELLO geometry, revalidated on reattach
     token: str  # resume token a reattaching HELLO must present
-    executor: ThreadPoolExecutor  # single-thread estimator lane
+    executor: ThreadPoolExecutor  # the session's estimator lane, shut at BYE
     acked_sent: int = -1  # last ack value actually framed to the client
     delivered_since_ack: int = 0
     crc_noted: int = 0  # decoder CRC drops already folded into repairs
@@ -200,7 +205,6 @@ class _Attachment:
     conn_gen: int = 0  # bumped per attach; stale handlers check before clearing
     writer: Optional[asyncio.StreamWriter] = None
     repairs_noted: Dict[str, int] = field(default_factory=dict)
-    final_updates: list = field(default_factory=list)
     # Update-stream reliability: every emitted update gets a monotonic
     # seq and stays buffered until the client's cumulative UACK covers
     # it; a reconnect rewinds update_sent to update_acked so anything
@@ -218,7 +222,7 @@ class _Attachment:
     def fold_repairs(self) -> None:
         """Sync tracker/decoder fault counters into session repairs.
 
-        Runs on the session's ingest thread (it mutates session state).
+        Runs in the session's lane (it mutates session state).
         """
         counts = {
             "net_duplicate_dropped": self.tracker.n_duplicates,
@@ -317,12 +321,13 @@ class NetServer:
         loop.call_soon_threadsafe(loop.stop)
         if self._thread is not None:
             self._thread.join(timeout=10.0)
-        # With the loop stopped, drain each session's ingest lane before
-        # touching its estimator from this thread.
+        # With the loop stopped, drain each session's lane before touching
+        # its estimator from this thread, then finish the sessions that
+        # never said BYE as a BYE would.
         for att in self._attachments.values():
             att.executor.shutdown(wait=True)
             if flush_sessions and not att.finished:
-                self._finish_stream(att)
+                self._ingest(att, att.tracker.flush(), finish=True)
 
     def __enter__(self) -> "NetServer":
         return self.start()
@@ -420,7 +425,7 @@ class NetServer:
                 last_rx = asyncio.get_running_loop().time()
                 decoder.feed(data)
                 # Tracker-released samples accumulate here and go to the
-                # ingest thread in one batch per read.
+                # session's lane in one call per read.
                 batch: List[Tuple[int, float, np.ndarray]] = []
                 done = False
                 for frame in decoder.frames():
@@ -444,8 +449,8 @@ class NetServer:
                         break
                 if att is not None and not done:
                     self._note_decoder_faults(att, decoder)
-                    await self._deliver(att, batch)
-                    await self._pump_session(att, writer)
+                    fresh = await self._run_lane(att, batch, finish=False)
+                    self._pump_session(att, writer, fresh)
                 await writer.drain()
                 if done:
                     break
@@ -456,6 +461,11 @@ class NetServer:
                 session=None if att is None else att.name,
                 action="dropped", error=str(exc),
             )
+        except asyncio.CancelledError:
+            # Shutdown cancels open handlers.  A handler that ended
+            # cancelled would make asyncio's client_connected_cb callback
+            # log the cancellation as an unhandled exception.
+            pass
         finally:
             if heartbeat is not None:
                 heartbeat.cancel()
@@ -465,7 +475,7 @@ class NetServer:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
+            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
                 pass
 
     def _handle_hello(
@@ -605,8 +615,8 @@ class NetServer:
     ) -> bool:
         """Dispatch one post-HELLO frame; True ends the connection.
 
-        DATA frames only extend ``batch`` (delivered to the ingest
-        thread once per read); everything else is handled in place.
+        DATA frames only extend ``batch`` (sent to the session's lane once
+        per read); everything else is handled in place.
         """
         if frame.frame_type == framing.FRAME_DATA:
             obs.add("net.data_rx")
@@ -649,11 +659,11 @@ class NetServer:
         if frame.frame_type == framing.FRAME_PONG:
             return False
         if frame.frame_type == framing.FRAME_BYE:
-            await self._deliver(att, batch)
-            batch.clear()
             self._note_decoder_faults(att, decoder)
-            await self._finish_stream_async(att)
-            await self._pump_session(att, writer, force_ack=True)
+            fresh = await self._run_lane(
+                att, batch + att.tracker.flush(), finish=True
+            )
+            self._pump_session(att, writer, fresh, force_ack=True)
             writer.write(framing.pack_frame(framing.FRAME_BYE, att.session_id))
             # The BYE rides behind the final updates on the same stream,
             # and a finished session cannot be reattached: the unacked
@@ -668,23 +678,40 @@ class NetServer:
         logger.warning("ignoring unexpected %s frame", frame.type_name)
         return False
 
-    # -- estimator offload (per-session ingest thread) ----------------------
+    # -- estimator lane (the session's own thread) --------------------------
 
-    async def _deliver(
-        self, att: _Attachment, batch: List[Tuple[int, float, np.ndarray]]
-    ) -> None:
-        """Push tracker-released samples on the session's ingest thread."""
-        if not batch:
-            return
-        await asyncio.get_running_loop().run_in_executor(
-            att.executor, self._ingest_samples, att, list(batch)
+    async def _run_lane(
+        self,
+        att: _Attachment,
+        batch: List[Tuple[int, float, np.ndarray]],
+        finish: bool,
+    ) -> List[MotionUpdate]:
+        """:meth:`_ingest` on the session's executor; a finish releases
+        the executor's thread."""
+        if att.finished:  # a stale connection's read after the BYE
+            return []
+        fresh = await asyncio.get_running_loop().run_in_executor(
+            att.executor, self._ingest, att, batch, finish
         )
         att.delivered_since_ack += len(batch)
+        if finish:
+            att.executor.shutdown(wait=False)
+        return fresh
 
-    def _ingest_samples(
-        self, att: _Attachment, batch: List[Tuple[int, float, np.ndarray]]
-    ) -> None:
-        """Ingest-thread body: feed delivered samples to the session."""
+    def _ingest(
+        self,
+        att: _Attachment,
+        batch: List[Tuple[int, float, np.ndarray]],
+        finish: bool,
+    ) -> List[MotionUpdate]:
+        """Push ``batch``, fold the transport repairs, then poll — or
+        flush and mark the session finished when ``finish`` is set.
+
+        Runs on the session's executor thread, or on the closing thread
+        once that executor is drained.
+        """
+        if att.finished:  # a stale connection's read queued behind the BYE
+            return []
         for seq, timestamp, packet in batch:
             self.manager.push(
                 att.name,
@@ -692,6 +719,13 @@ class NetServer:
                 timestamp,
                 provenance=self._sample_provenance(att, seq),
             )
+        # Folded before the poll or flush, so the block they emit carries
+        # the net_* repairs.
+        att.fold_repairs()
+        if not finish:
+            return att.session.poll()
+        att.finished = True
+        return att.session.flush()
 
     def _sample_provenance(
         self, att: _Attachment, seq: int
@@ -706,46 +740,6 @@ class NetServer:
         if not obs.enabled():
             return None
         return SampleProvenance(f"{att.name}:{seq}", created_s=created_s)
-
-    async def _finish_stream_async(self, att: _Attachment) -> None:
-        """Deliver held samples, flush the estimator, mark finished."""
-        if att.finished:
-            return
-        held = att.tracker.flush()
-        await asyncio.get_running_loop().run_in_executor(
-            att.executor, self._finish_session, att, held
-        )
-        att.delivered_since_ack += len(held)
-        att.finished = True
-
-    def _finish_session(
-        self, att: _Attachment, held: List[Tuple[int, float, np.ndarray]]
-    ) -> None:
-        """Ingest-thread body of the finish: push, fold, flush."""
-        for seq, timestamp, packet in held:
-            self.manager.push(
-                att.name,
-                packet,
-                timestamp,
-                provenance=self._sample_provenance(att, seq),
-            )
-        # Fold transport faults in *before* the estimator flush so the
-        # final block's HealthReport carries the net_* repairs.
-        att.fold_repairs()
-        att.final_updates.extend(att.session.flush())
-
-    def _finish_stream(self, att: _Attachment) -> None:
-        """Synchronous finish, for :meth:`close` after the loop stopped
-        (the session's executor must already be drained)."""
-        if att.finished:
-            return
-        self._finish_session(att, att.tracker.flush())
-        att.finished = True
-
-    def _poll_session(self, att: _Attachment) -> list:
-        """Ingest-thread body of a poll: fold repairs, drain, collect."""
-        att.fold_repairs()
-        return att.session.poll()
 
     # -- frame emission ------------------------------------------------------
 
@@ -763,10 +757,11 @@ class NetServer:
         decoder._crc_seen = decoder.n_crc_dropped  # type: ignore[attr-defined]
         decoder._resync_seen = decoder.n_resyncs  # type: ignore[attr-defined]
 
-    async def _pump_session(
+    def _pump_session(
         self,
         att: _Attachment,
         writer: asyncio.StreamWriter,
+        fresh: List[MotionUpdate],
         force_ack: bool = False,
     ) -> None:
         """Queue fresh updates, stream unsent ones, and (maybe) ACK.
@@ -778,13 +773,6 @@ class NetServer:
         the current connection, so nothing is marked sent on a dead
         socket.
         """
-        if att.finished:
-            fresh = att.final_updates
-            att.final_updates = []
-        else:
-            fresh = await asyncio.get_running_loop().run_in_executor(
-                att.executor, self._poll_session, att
-            )
         for update in fresh:
             att.unacked_updates[att.update_seq] = framing.encode_update(update)
             # UPDATE payloads exclude stats by design (golden-bytes lock),

@@ -12,17 +12,17 @@ Design constraints:
 * **Deterministic.**  No reservoir sampling, no RNG: the same workload
   produces the same snapshot, so BENCH files diff cleanly across PRs.
 * **Snapshot-consistent under concurrency.**  Counters and histograms
-  carry per-metric locks; a snapshot or JSONL export racing live
-  ``add``/``observe`` traffic is always internally consistent (histogram
-  bucket counts sum to the histogram count).
-* **Serializable.**  The whole registry round-trips through JSONL
-  (:meth:`MetricsRegistry.export_jsonl` / :meth:`MetricsRegistry.from_jsonl`)
-  and renders as a human-readable table (:meth:`MetricsRegistry.render_table`).
+  carry per-metric locks; a snapshot racing live ``add``/``observe``
+  traffic is always internally consistent (histogram bucket counts sum
+  to the histogram count).
+* **Serializable.**  :meth:`MetricsRegistry.snapshot` is a plain,
+  JSON-friendly dict (the ``rim-telemetry/v1`` JSONL stream of
+  :mod:`repro.obs.export` writes it), and the registry renders as a
+  human-readable table (:meth:`MetricsRegistry.render_table`).
 """
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 from typing import Any, Dict, Optional, Sequence, Union
@@ -203,10 +203,9 @@ class MetricsRegistry:
     Metric creation is lock-protected so concurrent sessions
     (:mod:`repro.serve`) can mint per-session metrics from worker threads
     without racing get-or-create, and each counter/histogram carries its
-    own lock so concurrent updates against an in-flight
-    :meth:`snapshot` / :meth:`to_jsonl` export can never produce a torn
-    record (a histogram whose bucket counts do not sum to its count, or a
-    half-applied counter increment).
+    own lock so concurrent updates against an in-flight :meth:`snapshot`
+    can never produce a torn record (a histogram whose bucket counts do
+    not sum to its count, or a half-applied counter increment).
 
     **Collectors** let gauge owners refresh on demand: components whose
     state is only visible between pushes (queue depths, retained frame
@@ -303,47 +302,6 @@ class MetricsRegistry:
         with self._lock:
             metrics = sorted(self._metrics.items())
         return {name: metric.snapshot() for name, metric in metrics}
-
-    def to_jsonl(self) -> str:
-        """One JSON object per line: ``{"name": ..., **snapshot}``."""
-        lines = []
-        for name, snap in self.snapshot().items():
-            lines.append(json.dumps({"name": name, **snap}, sort_keys=True))
-        return "\n".join(lines) + ("\n" if self._metrics else "")
-
-    def export_jsonl(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
-
-    @classmethod
-    def from_jsonl(cls, path) -> "MetricsRegistry":
-        """Rebuild a registry from a JSONL export (lossless round-trip)."""
-        registry = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                name, kind = rec["name"], rec["type"]
-                if kind == "counter":
-                    counter = registry.counter(name, help=rec.get("help", ""))
-                    counter.value = rec["value"]
-                elif kind == "gauge":
-                    gauge = registry.gauge(name, help=rec.get("help", ""))
-                    gauge.value = rec["value"]
-                elif kind == "histogram":
-                    hist = registry.histogram(
-                        name, bounds=rec["bounds"], help=rec.get("help", "")
-                    )
-                    hist.counts = list(rec["counts"])
-                    hist.count = rec["count"]
-                    hist.total = rec["sum"]
-                    hist.vmin = math.inf if rec["min"] is None else rec["min"]
-                    hist.vmax = -math.inf if rec["max"] is None else rec["max"]
-                else:
-                    raise ValueError(f"unknown metric type {kind!r} for {name!r}")
-        return registry
 
     def apply_snapshot(
         self,

@@ -1,7 +1,8 @@
-"""Simulated multi-receiver replay: the ``repro.cli serve-sim`` verb.
+"""Multi-receiver replay: the ``repro.cli serve-sim`` verb.
 
-Builds N simulated receivers walking different lines through the standard
-office testbed, replays them **concurrently** through one
+Builds receivers — N simulated ones walking different lines through the
+standard office testbed, or recorded ones read back from trace stores —
+and replays them **concurrently** through one
 :class:`~repro.serve.session.SessionManager` or a
 :class:`~repro.shard.router.ShardRouter` fleet (each receiver driven by a
 sender thread, exercising the bounded queues and backpressure policy for
@@ -112,22 +113,16 @@ def _replay(
 
 
 def run_serve_sim(
-    n_sessions: int = 8,
-    n_workers: int = 4,
-    seed: int = 0,
-    duration_s: float = 2.0,
-    backpressure: str = "block",
-    queue_capacity: int = 256,
-    block_seconds: float = 1.0,
+    receivers: Sequence[Tuple[str, CsiTrace]],
+    serve_config: Optional[ServeConfig] = None,
     rim_config: Optional[RimConfig] = None,
-    receivers: Optional[Sequence[Tuple[str, CsiTrace]]] = None,
-    store_dir=None,
+    n_workers: int = 4,
     record_dir=None,
     should_stop: Optional[Callable[[], bool]] = None,
     shards: int = 0,
     router: Optional["ShardRouter"] = None,
 ) -> Dict[str, Any]:
-    """Replay N receivers concurrently through one manager or a shard fleet.
+    """Replay receivers concurrently through one manager or a shard fleet.
 
     With ``shards == 0`` and no ``router``, one in-process
     :class:`SessionManager` serves every session and ``n_workers``
@@ -144,19 +139,12 @@ def run_serve_sim(
     with tracing off.
 
     Args:
-        n_sessions: Number of simulated receivers.
-        n_workers: Threads driving the sessions of an in-process run.
-        seed: Testbed seed.
-        duration_s: Per-receiver trajectory duration, seconds.
-        backpressure: Full-queue policy for every session.
-        queue_capacity: Per-session ingest queue bound.
-        block_seconds: Streaming emission cadence.
+        receivers: ``(name, trace)`` pairs, from
+            :func:`simulated_receivers` or :func:`store_receivers`.
+        serve_config: Queue, backpressure and block cadence of every
+            session (defaults to :class:`ServeConfig`'s).
         rim_config: Estimator config override.
-        receivers: Pre-sampled ``(name, trace)`` receivers (skips the
-            testbed simulation — used by tests and ``repro.bench``).
-        store_dir: Replay recorded receivers from this store / fleet
-            directory (see :func:`store_receivers`) instead of
-            simulating; overrides ``n_sessions``/``seed``/``duration_s``.
+        n_workers: Threads driving the sessions of an in-process run.
         record_dir: Record every session's ingest into chunked stores
             under this directory (``record_dir/<session>``).
         should_stop: Polled between packets by every replay thread;
@@ -175,19 +163,8 @@ def run_serve_sim(
         in-process run, shard count, liveness, failovers and placement
         for a sharded one), and the run's configuration.
     """
-    if receivers is None:
-        if store_dir is not None:
-            receivers = store_receivers(store_dir)
-        else:
-            receivers = simulated_receivers(
-                n_sessions, seed=seed, duration_s=duration_s
-            )
     n_sessions = len(receivers)
-    serve_config = ServeConfig(
-        queue_capacity=queue_capacity,
-        backpressure=backpressure,
-        block_seconds=block_seconds,
-    )
+    serve_config = serve_config or ServeConfig()
     target: Union[SessionManager, "ShardRouter"]
     own_router = router is None and shards > 0
     if router is not None:
@@ -257,11 +234,9 @@ def run_serve_sim(
         ),
     }
     config: Dict[str, Any] = {
-        "backpressure": backpressure,
-        "queue_capacity": queue_capacity,
-        "block_seconds": block_seconds,
-        "duration_s": duration_s,
-        "seed": seed,
+        "backpressure": serve_config.backpressure,
+        "queue_capacity": serve_config.queue_capacity,
+        "block_seconds": serve_config.block_seconds,
     }
     if fleet is None:
         aggregate["n_workers"] = n_workers

@@ -66,11 +66,18 @@ from repro.obs.provenance import SampleProvenance
 from repro.serve.session import PUSH_ACCEPTED, ServeConfig
 from repro.shard import messages as msg
 from repro.shard.ring import HashRing
-from repro.shard.worker import SHARD_CHUNK_SAMPLES, WorkerInit, shard_worker_main
+from repro.shard.worker import WorkerInit, shard_worker_main
 
 logger = logging.getLogger(__name__)
 
 _PIPE_ERRORS = (BrokenPipeError, ConnectionResetError, EOFError, OSError)
+
+#: Round-trip budget of a control request (a flush can run a whole block).
+REQUEST_TIMEOUT_S = 120.0
+#: How long :meth:`ShardRouter.wait_ready` waits for a worker's imports.
+READY_TIMEOUT_S = 60.0
+#: How long :meth:`ShardRouter.close` waits for each worker to exit.
+SHUTDOWN_TIMEOUT_S = 30.0
 
 
 class ShardError(RuntimeError):
@@ -179,15 +186,10 @@ class ShardRouter:
         record_dir: Shared ingest-recording root.  Required for
             failover resume; None disables recording (a dead shard's
             sessions are then unrecoverable and failover raises).
-        chunk_samples: Packets per recorded chunk (small by default so a
-            kill loses little un-synced tail).
-        start_method: ``multiprocessing`` start method; default
-            :func:`default_start_method`.
-        request_timeout_s: Round-trip budget for control requests.
-        vnodes: Ring smoothness (virtual nodes per shard).
-        enable_worker_obs: Collect :mod:`repro.obs` metrics inside
-            workers and aggregate them here; defaults to the router
-            process's ``obs.enabled()`` at construction time.
+
+    Workers start with the method :func:`default_start_method` picks,
+    and collect :mod:`repro.obs` metrics (aggregated here) when obs is
+    enabled in this process at construction time.
     """
 
     def __init__(
@@ -196,11 +198,6 @@ class ShardRouter:
         rim_config: Optional[RimConfig] = None,
         serve_config: Optional[ServeConfig] = None,
         record_dir=None,
-        chunk_samples: int = SHARD_CHUNK_SAMPLES,
-        start_method: Optional[str] = None,
-        request_timeout_s: float = 120.0,
-        vnodes: int = 64,
-        enable_worker_obs: Optional[bool] = None,
     ):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -208,17 +205,13 @@ class ShardRouter:
         self.rim_config = rim_config
         self.serve_config = serve_config or ServeConfig()
         self.record_dir = None if record_dir is None else Path(record_dir)
-        self.chunk_samples = int(chunk_samples)
-        self.start_method = start_method or default_start_method()
-        self.request_timeout_s = float(request_timeout_s)
-        if enable_worker_obs is None:
-            enable_worker_obs = obs.enabled()
-        self.enable_worker_obs = bool(enable_worker_obs)
+        self.start_method = default_start_method()
+        self.enable_worker_obs = obs.enabled()
         self.n_failovers = 0
         self._closed = False
         self._lock = threading.RLock()  # topology: shards, ring, sessions
         self._sessions: Dict[str, _SessionRecord] = {}
-        self._ring = HashRing([], vnodes=vnodes)
+        self._ring = HashRing([])
         self._shards: Dict[str, _Shard] = {}
 
         ctx = multiprocessing.get_context(self.start_method)
@@ -229,7 +222,6 @@ class ShardRouter:
                 record_dir=None if self.record_dir is None else str(self.record_dir),
                 rim_config=rim_config,
                 serve_config=self.serve_config,
-                chunk_samples=self.chunk_samples,
                 enable_obs=self.enable_worker_obs,
                 log_level=logging.getLogger("repro").getEffectiveLevel(),
             )
@@ -271,16 +263,16 @@ class ShardRouter:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def wait_ready(self, timeout_s: float = 60.0) -> None:
+    def wait_ready(self) -> None:
         """Block until every worker answers a PING (imports finished).
 
         Call before a timed window so worker startup (interpreter spawn,
         numpy import) is excluded from throughput measurements.
         """
         for shard in self._alive():
-            self._request(shard, msg.MSG_PING, timeout=timeout_s)
+            self._request(shard, msg.MSG_PING, timeout=READY_TIMEOUT_S)
 
-    def close(self, timeout_s: float = 30.0) -> None:
+    def close(self) -> None:
         """Flush every session, stop every worker, release the pipes."""
         if self._closed:
             return
@@ -290,12 +282,12 @@ class ShardRouter:
             logger.warning("flush during close failed; shutting down anyway")
         for shard in self._alive():
             try:
-                self._request(shard, msg.MSG_SHUTDOWN, timeout=timeout_s)
+                self._request(shard, msg.MSG_SHUTDOWN, timeout=SHUTDOWN_TIMEOUT_S)
             except (_ShardDown, ShardError):
                 pass
         self._closed = True
         for shard in self._shards.values():
-            shard.process.join(timeout=timeout_s)
+            shard.process.join(timeout=SHUTDOWN_TIMEOUT_S)
             if shard.process.is_alive():
                 shard.process.terminate()
                 shard.process.join(timeout=5.0)
@@ -559,7 +551,7 @@ class ShardRouter:
                 continue
             try:
                 reply = self._roundtrip_locked(
-                    shard, msg.MSG_SNAPSHOT, "", b"", self.request_timeout_s
+                    shard, msg.MSG_SNAPSHOT, "", b"", REQUEST_TIMEOUT_S
                 )
             except _ShardDown:
                 continue  # the next data-path touch handles the failover
@@ -634,9 +626,8 @@ class ShardRouter:
         msg_type: int,
         name: str = "",
         payload: bytes = b"",
-        timeout: Optional[float] = None,
+        timeout: float = REQUEST_TIMEOUT_S,
     ) -> msg.ShardMessage:
-        timeout = self.request_timeout_s if timeout is None else timeout
         with shard.lock:
             if not shard.alive:
                 raise _ShardDown(shard, RuntimeError("already marked dead"))

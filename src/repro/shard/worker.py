@@ -60,7 +60,6 @@ class WorkerInit:
             recording — and with it, failover resume.
         rim_config: Default estimator config for this shard's sessions.
         serve_config: Default serving config for this shard's sessions.
-        chunk_samples: Packets per recorded chunk file.
         enable_obs: Start the worker with :mod:`repro.obs` collection on
             (the router then aggregates SNAPSHOT deltas).
         log_level: Root ``repro`` logger level for the worker process.
@@ -70,7 +69,6 @@ class WorkerInit:
     record_dir: Optional[str] = None
     rim_config: Optional[RimConfig] = None
     serve_config: ServeConfig = field(default_factory=ServeConfig)
-    chunk_samples: int = SHARD_CHUNK_SAMPLES
     enable_obs: bool = False
     log_level: int = logging.WARNING
 
@@ -103,7 +101,7 @@ class _ShardWorker:
             rim_config=init.rim_config,
             serve_config=init.serve_config,
             record_dir=init.record_dir,
-            record_chunk_samples=init.chunk_samples,
+            record_chunk_samples=SHARD_CHUNK_SAMPLES,
         )
         self._flushed: Dict[str, bool] = {}
 
@@ -307,7 +305,7 @@ class _ShardWorker:
                     Path(self.init.record_dir) / f"{name}@g{generation}",
                     reader.array,
                     carrier_wavelength=reader.carrier_wavelength,
-                    chunk_samples=self.init.chunk_samples,
+                    chunk_samples=SHARD_CHUNK_SAMPLES,
                     sampling_rate=reader.sampling_rate,
                 )
             session = ServeSession(

@@ -11,8 +11,8 @@ record once and reprocess many times.  This package is that substrate:
 * :mod:`repro.store.writer` — :class:`TraceWriter` / :func:`write_trace`:
   append-only, crash-safe recording.
 * :mod:`repro.store.reader` — :class:`TraceReader`: random access, lazy
-  iteration, optional mmap, raise/drop/repair fault handling with
-  :class:`StoreReport` telemetry.
+  iteration, raise/drop/repair fault handling with :class:`StoreReport`
+  telemetry.
 * :mod:`repro.store.checkpoint` — :class:`CheckpointedReplayer`:
   stop-at-chunk-*k*, resume-bit-identically replay on top of
   :class:`~repro.core.streaming.StreamingRim`.

@@ -178,18 +178,14 @@ def unpack_payload(
     payload: bytes,
     sample_shape: Tuple[int, ...],
     where: str = "chunk",
-    copy: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Decode a chunk payload, verifying length and CRC-32.
 
     Args:
         header: The chunk's decoded header.
-        payload: ``header.payload_bytes`` bytes (bytes or memoryview —
-            a memoryview keeps mmap-backed reads zero-copy).
+        payload: ``header.payload_bytes`` bytes.
         sample_shape: Per-sample (n_rx, n_tx, S) from the store manifest.
         where: Context for error messages.
-        copy: Copy the decoded arrays out of the buffer (safe default);
-            False returns read-only views into ``payload`` (mmap mode).
 
     Returns:
         ``(data, times)`` — (n, *sample_shape) complex64 and (n,) float64.
@@ -217,6 +213,4 @@ def unpack_payload(
     data = np.frombuffer(payload, dtype=SAMPLE_DTYPE, offset=split).reshape(
         (n, *sample_shape)
     )
-    if copy:
-        return data.copy(), times.copy()
-    return data, times
+    return data.copy(), times.copy()

@@ -4,8 +4,7 @@ The reader scans the store's chunk files on open (headers only — payloads
 stay on disk until asked for), validates the monotonic sequence, and then
 serves random access (:meth:`TraceReader.read_chunk`), lazy iteration
 (:meth:`TraceReader.iter_chunks`), or whole-trace assembly
-(:meth:`TraceReader.read_trace`), optionally via ``mmap`` for zero-copy
-payloads.
+(:meth:`TraceReader.read_trace`).
 
 Faults surface through the same guard-policy vocabulary as the rest of
 the ingestion stack (:mod:`repro.robustness.guard`):
@@ -29,7 +28,6 @@ whose :meth:`StoreReport.repairs` dict feeds
 from __future__ import annotations
 
 import json
-import mmap as mmap_module
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,11 +146,9 @@ class TraceReader:
     Args:
         root: Store directory (must hold a manifest).
         policy: ``"raise"``, ``"drop"``, or ``"repair"`` (see module docs).
-        use_mmap: Map chunk files instead of reading them; decoded arrays
-            are zero-copy read-only views valid until :meth:`close`.
     """
 
-    def __init__(self, root, policy: str = "repair", use_mmap: bool = False):
+    def __init__(self, root, policy: str = "repair"):
         if policy not in READ_POLICIES:
             raise ValueError(
                 f"unknown store policy {policy!r}; want one of {READ_POLICIES} "
@@ -161,10 +157,7 @@ class TraceReader:
             )
         self.root = Path(root)
         self.policy = policy
-        self.use_mmap = bool(use_mmap)
         self.report = StoreReport(policy=policy)
-        self._mmaps: List[mmap_module.mmap] = []
-        self._closed = False
 
         manifest_path = self.root / MANIFEST_NAME
         if not manifest_path.is_file():
@@ -486,13 +479,10 @@ class TraceReader:
             A fresh :class:`StoreReport`; the reader's own report is
             untouched.
         """
-        scanner = TraceReader(self.root, policy="drop", use_mmap=self.use_mmap)
-        try:
-            for _ in scanner.iter_chunks():
-                pass
-            return scanner.report
-        finally:
-            scanner.close()
+        scanner = TraceReader(self.root, policy="drop")
+        for _ in scanner.iter_chunks():
+            pass
+        return scanner.report
 
     # -- internals -----------------------------------------------------------
 
@@ -501,23 +491,10 @@ class TraceReader:
         header = entry.header
         t0 = time.perf_counter()
         with open(entry.path, "rb") as fh:
-            if self.use_mmap:
-                mm = mmap_module.mmap(fh.fileno(), 0, access=mmap_module.ACCESS_READ)
-                self._mmaps.append(mm)
-                payload: Any = memoryview(mm)[
-                    HEADER_SIZE : HEADER_SIZE + header.payload_bytes
-                ]
-                copy = False
-            else:
-                fh.seek(HEADER_SIZE)
-                payload = fh.read(header.payload_bytes)
-                copy = True
+            fh.seek(HEADER_SIZE)
+            payload = fh.read(header.payload_bytes)
         data, times = unpack_payload(
-            header,
-            payload,
-            self.sample_shape,
-            where=entry.path.name,
-            copy=copy,
+            header, payload, self.sample_shape, where=entry.path.name
         )
         obs.observe(
             "store.chunk_read_s",
@@ -529,16 +506,8 @@ class TraceReader:
         return data, times
 
     def close(self) -> None:
-        """Release mmap handles (views returned in mmap mode die with them)."""
-        if self._closed:
-            return
-        for mm in self._mmaps:
-            try:
-                mm.close()
-            except BufferError:  # a view outlived the reader; leave it mapped
-                pass
-        self._mmaps = []
-        self._closed = True
+        """No-op: every read opens and closes its own file.  Kept so
+        callers can hold the reader in a ``with`` block."""
 
     def __enter__(self) -> "TraceReader":
         return self

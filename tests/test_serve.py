@@ -206,10 +206,10 @@ class TestServeSim:
     def test_aggregate_and_table(self, serve_traces):
         receivers = [(f"rx{k:02d}", t) for k, t in enumerate(serve_traces)]
         result = run_serve_sim(
-            n_workers=2,
-            receivers=receivers,
-            block_seconds=0.5,
+            receivers,
+            serve_config=ServeConfig(block_seconds=0.5),
             rim_config=RimConfig(max_lag=50),
+            n_workers=2,
         )
         agg = result["aggregate"]
         assert agg["n_sessions"] == 3
@@ -232,8 +232,8 @@ class TestServeSim:
         per_session = []
         for kw in ({"n_workers": 1}, {"n_workers": 3}, {"shards": 2}):
             result = run_serve_sim(
-                receivers=receivers,
-                block_seconds=0.5,
+                receivers,
+                serve_config=ServeConfig(block_seconds=0.5),
                 rim_config=cfg,
                 **kw,
             )
@@ -258,12 +258,12 @@ class TestServeSim:
     def test_reject_policy_surfaces_in_aggregate(self, serve_traces):
         receivers = [("rx00", serve_traces[0])]
         result = run_serve_sim(
-            n_workers=1,
-            receivers=receivers,
-            backpressure="reject",
-            queue_capacity=50,
-            block_seconds=0.5,
+            receivers,
+            serve_config=ServeConfig(
+                backpressure="reject", queue_capacity=50, block_seconds=0.5
+            ),
             rim_config=RimConfig(max_lag=50),
+            n_workers=1,
         )
         assert result["aggregate"]["rejected"] > 0
         assert result["sessions"][0]["rejected"] > 0

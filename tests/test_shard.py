@@ -326,10 +326,7 @@ class TestFleet:
 
     def test_run_serve_sim_sharded_aggregate(self, shard_traces):
         result = run_serve_sim(
-            shards=2,
-            receivers=shard_traces[:2],
-            rim_config=RIM_CFG,
-            block_seconds=0.5,
+            shard_traces[:2], serve_config=SERVE_CFG, rim_config=RIM_CFG, shards=2
         )
         agg = result["aggregate"]
         assert agg["n_sessions"] == 2

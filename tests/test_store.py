@@ -77,17 +77,16 @@ def test_write_read_round_trip(store, line_trace):
     assert not reader.report.repairs()
 
 
-def test_random_access_and_mmap_agree(store):
-    with TraceReader(store, policy="raise") as plain, TraceReader(
-        store, policy="raise", use_mmap=True
-    ) as mapped:
-        for k in range(plain.n_chunks):
-            d0, t0 = plain.read_chunk(k)
-            d1, t1 = mapped.read_chunk(k)
-            assert np.array_equal(d0, d1)
-            assert np.array_equal(t0, t1)
+def test_random_access_matches_iteration(store):
+    with TraceReader(store, policy="raise") as reader:
+        records = list(reader.iter_chunks())
+        assert len(records) == reader.n_chunks
+        for k, record in enumerate(records):
+            data, times = reader.read_chunk(k)
+            assert np.array_equal(data, record.data)
+            assert np.array_equal(times, record.times)
         with pytest.raises(IndexError):
-            plain.read_chunk(plain.n_chunks)
+            reader.read_chunk(reader.n_chunks)
 
 
 def test_writer_refuses_existing_store(store, three_antenna):
@@ -282,13 +281,11 @@ def test_record_on_ingest_round_trip(tmp_path, line_trace):
 
 
 def test_serve_sim_store_dir_replays_recording(tmp_path, line_trace):
-    from repro.serve.simulate import run_serve_sim
+    from repro.serve.simulate import run_serve_sim, store_receivers
 
     fleet = tmp_path / "fleet"
-    live = run_serve_sim(
-        receivers=[("rx00", line_trace)], n_workers=1, record_dir=fleet
-    )
-    replayed = run_serve_sim(store_dir=fleet, n_workers=1)
+    live = run_serve_sim([("rx00", line_trace)], n_workers=1, record_dir=fleet)
+    replayed = run_serve_sim(store_receivers(fleet), n_workers=1)
     assert replayed["aggregate"]["total_samples"] == line_trace.n_samples
     assert replayed["aggregate"]["total_distance_m"] == pytest.approx(
         live["aggregate"]["total_distance_m"]

@@ -98,6 +98,17 @@ class TestStreamingRim:
         _stream_trace(stream, trace)
         assert stream.total_distance == pytest.approx(0.0, abs=1e-6)
 
+    def test_flush_of_one_sample(self, three_antenna):
+        stream = StreamingRim(three_antenna, 100.0, RimConfig(max_lag=40))
+        stream.push(np.ones((3, 2, 8), dtype=np.complex64), 0.5)
+        update = stream.flush()
+        assert update is not None
+        assert update.times.tolist() == [0.5]
+        assert not update.moving.any()
+        assert update.block_distance == 0.0
+        assert update.health is not None and update.health.n_samples == 1
+        assert stream.flush() is None
+
     def test_default_timestamps(self, three_antenna):
         stream = StreamingRim(three_antenna, 100.0, RimConfig(max_lag=40))
         packet = np.ones((3, 2, 8), dtype=np.complex64)
