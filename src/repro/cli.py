@@ -16,9 +16,6 @@ Usage::
                                              # by default; --fault-plan for
                                              # wire faults)
     python -m repro.cli obs-top              # live per-session telemetry
-    python -m repro.cli bench run --matrix M # experiment-matrix sweep
-    python -m repro.cli bench table T.json   # re-render a run table
-    python -m repro.cli bench compare A B    # cell-by-cell regression check
 
 ``--log-level debug`` surfaces the pipeline's structured logging (guard
 repairs, degradation, clock resampling) on stderr; the level propagates
@@ -224,13 +221,11 @@ def _register_runners() -> Dict[str, Callable]:
 
 
 def cmd_demo(args) -> int:
-    from repro import Rim, RimConfig, linear_array, obs
-    from repro.eval.setup import MEASUREMENT_SPOTS, make_testbed
-    from repro.motionsim.profiles import line_trajectory
+    from repro import Rim, RimConfig, obs
+    from repro.serve.simulate import simulated_receivers
 
-    bed = make_testbed(seed=1)
-    truth = line_trajectory(MEASUREMENT_SPOTS[0], 0.0, 0.5, 3.0)
-    trace = bed.sampler.sample(truth, linear_array(3))
+    [(_, trace)] = simulated_receivers(1, seed=1, duration_s=3.0)
+    truth = trace.trajectory
     fault_spec = getattr(args, "fault_plan", "")
     if fault_spec:
         from repro.robustness import FaultPlan
@@ -322,18 +317,16 @@ def cmd_serve_sim(args) -> int:
 
 
 def cmd_record(args) -> int:
-    from repro.arrays.geometry import linear_array
-    from repro.eval.setup import MEASUREMENT_SPOTS, make_testbed
-    from repro.motionsim.profiles import line_trajectory
+    from repro.serve.simulate import simulated_receivers
     from repro.shutdown import GracefulShutdown
     from repro.store import TraceWriter
 
     # The guard covers the whole command: a signal during the (long)
     # trace simulation still ends in a closed, replayable store.
     with GracefulShutdown() as stop:
-        bed = make_testbed(seed=args.seed)
-        truth = line_trajectory(MEASUREMENT_SPOTS[0], 0.0, 0.5, args.duration)
-        trace = bed.sampler.sample(truth, linear_array(3))
+        [(_, trace)] = simulated_receivers(
+            1, seed=args.seed, duration_s=args.duration
+        )
         if args.fault_plan:
             from repro.robustness import FaultPlan
 
@@ -364,7 +357,7 @@ def cmd_record(args) -> int:
         )
     print(
         f"recorded {writer.n_samples} samples "
-        f"({truth.total_distance:.1f} m walk) into {args.out}: "
+        f"({trace.trajectory.total_distance:.1f} m walk) into {args.out}: "
         f"{writer.n_chunks} chunks, {writer.bytes_written} bytes"
     )
     return 0
@@ -462,6 +455,7 @@ def cmd_net_serve(args) -> int:
         if args.record_dir:
             server.manager.record_dir = Path(args.record_dir)
     with _telemetry(args):
+        t0 = time.perf_counter()
         server.start()
         where = f"{config.host}:{server.port}"
         if router is not None:
@@ -471,24 +465,23 @@ def cmd_net_serve(args) -> int:
         with GracefulShutdown() as stop:
             if router is not None:
                 fleet_sync_loop(router, interval_s=2.0, should_stop=stop.should_stop)
-            rows = []
             try:
                 while not stop.should_stop():
                     time.sleep(0.2)
             finally:
                 server.close()
+                wall = time.perf_counter() - t0
+                # A fleet's stats live in its workers; capture before teardown.
+                rows = server.session_stats()
                 if router is not None:
-                    # Stats live in the workers; capture before teardown.
-                    rows = server.session_stats()
                     router.close()
     if stop.triggered:
         print(
             f"{stop.signal_name}: server stopped; sessions flushed",
             file=sys.stderr,
         )
-    if router is None:
-        rows = server.session_stats()
     if rows:
+        n_samples = sum(int(r["offered"]) for r in rows)
         print()
         print(
             render_net_table(
@@ -497,13 +490,12 @@ def cmd_net_serve(args) -> int:
                     "baseline_match": None,
                     "aggregate": {
                         "n_sessions": len(rows),
-                        "n_samples": sum(int(r["offered"]) for r in rows),
-                        "wall_s": 0.0,
-                        "samples_per_second": 0.0,
+                        "n_samples": n_samples,
+                        "wall_s": wall,
+                        "samples_per_second": n_samples / wall,
                         "reconnects": sum(
                             int(r.get("reconnects", 0)) for r in rows
                         ),
-                        "recovery_s_max": 0.0,
                     },
                 }
             )
@@ -555,85 +547,6 @@ def cmd_net_load(args) -> int:
                 file=sys.stderr,
             )
             return 1
-    return 0
-
-
-def cmd_bench(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.bench import (
-        compare_tables,
-        gate_linear_scaling,
-        load_spec,
-        render_bench_table,
-        run_matrix,
-        validate_run_table,
-    )
-    from repro.shutdown import GracefulShutdown
-
-    if args.bench_command == "table":
-        with open(args.table, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        validate_run_table(payload)
-        print(render_bench_table(payload), end="")
-        return 0
-
-    if args.bench_command == "compare":
-        with open(args.old, "r", encoding="utf-8") as fh:
-            old = json.load(fh)
-        with open(args.new, "r", encoding="utf-8") as fh:
-            new = json.load(fh)
-        validate_run_table(old)
-        validate_run_table(new)
-        failures = compare_tables(old, new, max_regression=args.max_regression)
-        if failures:
-            print(f"bench compare {args.old} -> {args.new}: FAIL", file=sys.stderr)
-            for failure in failures:
-                print(f"  - {failure}", file=sys.stderr)
-            return 1
-        print(f"bench compare {args.old} -> {args.new}: ok")
-        return 0
-
-    # bench run
-    spec = load_spec(args.matrix)
-    if args.repetitions is not None:
-        spec.repetitions = args.repetitions
-        spec.validate()
-    with GracefulShutdown() as stop:
-        payload = run_matrix(
-            spec,
-            should_stop=stop.stopper(),
-            progress=lambda line: print(line, file=sys.stderr),
-        )
-    if stop.triggered:
-        print(
-            f"{stop.signal_name}: sweep stopped early; table covers "
-            "finished cells only",
-            file=sys.stderr,
-        )
-    print()
-    print(render_bench_table(payload), end="")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "run_table.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        (out / "run_table.md").write_text(
-            render_bench_table(payload), encoding="utf-8"
-        )
-        print(f"wrote {out}/run_table.{{json,md}}", file=sys.stderr)
-    if args.scaling_gate:
-        failures, report = gate_linear_scaling(payload["rows"], payload["n_cpus"])
-        for line in report:
-            print(f"scaling gate: {line}")
-        if failures:
-            print("scaling gate: FAIL", file=sys.stderr)
-            for failure in failures:
-                print(f"  - {failure}", file=sys.stderr)
-            return 1
-        print("scaling gate: ok")
     return 0
 
 
@@ -923,50 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--once", action="store_true", help="render one frame and exit"
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="experiment-matrix benchmarking (repro.bench): run a matrix "
-        "sweep, re-render a run table, or compare two tables",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run", help="expand and run a matrix spec, emit the run table"
-    )
-    bench_run.add_argument(
-        "--matrix", required=True, metavar="PATH",
-        help="matrix spec file (.toml on python >= 3.11, .json anywhere)",
-    )
-    bench_run.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="write run_table.{json,md} into DIR",
-    )
-    bench_run.add_argument(
-        "--repetitions", type=int, default=None, metavar="N",
-        help="override the spec's measured repetitions per cell",
-    )
-    bench_run.add_argument(
-        "--scaling-gate", action="store_true",
-        help="fail when a shard row scales below 0.7x-linear sessions/s "
-        "over its 1-shard row; rows with more shards than this process "
-        "may use cpus are reported and skipped",
-    )
-
-    bench_table = bench_sub.add_parser(
-        "table", help="validate and re-render a saved run table"
-    )
-    bench_table.add_argument("table", help="run_table.json path")
-
-    bench_compare = bench_sub.add_parser(
-        "compare", help="cell-by-cell regression check between two run tables"
-    )
-    bench_compare.add_argument("old", help="baseline run_table.json")
-    bench_compare.add_argument("new", help="fresh run_table.json")
-    bench_compare.add_argument(
-        "--max-regression", type=float, default=0.25, metavar="FRAC",
-        help="allowed fractional regression per cell (default 0.25)",
-    )
-
     convert = sub.add_parser(
         "convert", help="import a legacy .npz archive into a chunked trace store"
     )
@@ -993,7 +862,6 @@ def main(argv=None) -> int:
         "net-serve": cmd_net_serve,
         "net-load": cmd_net_load,
         "obs-top": cmd_obs_top,
-        "bench": cmd_bench,
     }
     return handlers[args.command](args)
 

@@ -262,13 +262,14 @@ def render_net_table(result: Dict[str, Any]) -> str:
     verdict = (
         "unchecked" if match is None else ("bit-identical" if match else "DIVERGED")
     )
-    lines += [
-        "-" * len(header),
+    summary = (
         f"{agg['n_sessions']} sessions: {agg['n_samples']} samples in "
         f"{agg['wall_s'] * 1e3:.1f} ms wall "
         f"({agg['samples_per_second']:.0f} samples/s), "
-        f"{agg['reconnects']} reconnects "
-        f"(worst recovery {agg['recovery_s_max'] * 1e3:.1f} ms)",
-        f"baseline: {verdict}",
-    ]
+        f"{agg['reconnects']} reconnects"
+    )
+    # Recovery is timed by clients; a server's table has none to show.
+    if "recovery_s_max" in agg:
+        summary += f" (worst recovery {agg['recovery_s_max'] * 1e3:.1f} ms)"
+    lines += ["-" * len(header), summary, f"baseline: {verdict}"]
     return "\n".join(lines)

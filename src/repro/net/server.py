@@ -262,8 +262,11 @@ class NetServer:
         rim_config: Optional[RimConfig] = None,
         serve_config: Optional[ServeConfig] = None,
     ):
-        self.manager = manager or SessionManager(
-            rim_config=rim_config, serve_config=serve_config
+        # Tested against None: a manager with no sessions yet is falsy.
+        self.manager = (
+            manager
+            if manager is not None
+            else SessionManager(rim_config=rim_config, serve_config=serve_config)
         )
         self.config = config or NetServerConfig()
         self._rim_config = rim_config
@@ -564,6 +567,14 @@ class NetServer:
             except (KeyError, TypeError, ValueError) as exc:
                 self._send_error(writer, f"bad HELLO for session {name!r}: {exc}")
                 return None
+            # create() has just evicted the sessions past their TTL; a
+            # finished session's attachment goes with it, and with it the
+            # last reference to its estimator.
+            for gone in [
+                key for key, old in self._attachments.items()
+                if old.finished and key not in self.manager
+            ]:
+                del self._attachments[gone]
             att = _Attachment(
                 session_id=self._next_session_id,
                 name=name,

@@ -44,9 +44,9 @@ def bucket_percentile(
     """Approximate q-quantile of bucketed observations, q in [0, 1].
 
     The single bucket walk behind every percentile the program reports:
-    a live :meth:`Histogram.percentile`, an exported snapshot (obs-top),
-    and a merged bench run-table histogram all call it with the same
-    four fields (``bounds``/``counts``/``count``/``max`` in a snapshot).
+    a live :meth:`Histogram.percentile` and an exported snapshot
+    (obs-top) both call it with the same four fields
+    (``bounds``/``counts``/``count``/``max`` in a snapshot).
     The answer is the upper bound of the bucket holding the quantile,
     clamped by the observed max; NaN when nothing was observed.
     """

@@ -8,7 +8,7 @@ and replays them **concurrently** through one
 sender thread, exercising the bounded queues and backpressure policy for
 real), and aggregates throughput and health into one table — the
 smoke-test story for the serving layer, what CI's concurrency-soak job
-runs, and what ``repro.bench`` times.
+runs, and what ``benchmarks/shard_scaling.py`` times.
 """
 
 from __future__ import annotations
@@ -120,23 +120,21 @@ def run_serve_sim(
     record_dir=None,
     should_stop: Optional[Callable[[], bool]] = None,
     shards: int = 0,
-    router: Optional["ShardRouter"] = None,
 ) -> Dict[str, Any]:
     """Replay receivers concurrently through one manager or a shard fleet.
 
-    With ``shards == 0`` and no ``router``, one in-process
-    :class:`SessionManager` serves every session and ``n_workers``
-    threads drive them.  Otherwise a
-    :class:`~repro.shard.router.ShardRouter` fleet serves them and one
-    sender thread per receiver drives it; the timed window starts after
+    With ``shards == 0``, one in-process :class:`SessionManager` serves
+    every session and ``n_workers`` threads drive them.  Otherwise a
+    :class:`~repro.shard.router.ShardRouter` fleet of ``shards`` workers,
+    spawned and closed here, serves them and one sender thread per
+    receiver drives it; the timed window starts after
     :meth:`~repro.shard.router.ShardRouter.wait_ready` and session
     creation, so worker startup never pollutes a throughput measurement.
     Either way the window covers pushes, the end-of-stream flush, and
     update delivery.
 
-    Instrumentation follows the caller's :mod:`repro.obs` state: bench
-    cells and the CLI telemetry flags enable it; a plain run measures
-    with tracing off.
+    Instrumentation follows the caller's :mod:`repro.obs` state: the CLI
+    telemetry flags enable it; a plain run measures with tracing off.
 
     Args:
         receivers: ``(name, trace)`` pairs, from
@@ -151,9 +149,6 @@ def run_serve_sim(
             returning True stops the replays early — queued packets are
             still drained and sessions flushed (graceful shutdown).
         shards: Serve through a fleet of this many worker processes.
-        router: Drive an existing fleet instead of spawning one (bench
-            cells read the fleet's metrics before closing it); the
-            caller keeps ownership and must close it.
 
     Returns:
         A dict with ``sessions`` (per-session serving stats, updates
@@ -166,10 +161,7 @@ def run_serve_sim(
     n_sessions = len(receivers)
     serve_config = serve_config or ServeConfig()
     target: Union[SessionManager, "ShardRouter"]
-    own_router = router is None and shards > 0
-    if router is not None:
-        target = router
-    elif shards > 0:
+    if shards > 0:
         # Imported here: repro.shard builds on this package.
         from repro.shard import router as shard_router
 
@@ -206,7 +198,7 @@ def run_serve_sim(
         session_stats = target.stats()
         fleet = None if isinstance(target, SessionManager) else target.fleet_stats()
     finally:
-        if own_router:
+        if shards > 0:
             target.close()
 
     by_name = {r["session"]: r for r in replays}

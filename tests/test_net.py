@@ -2,12 +2,18 @@
 
 import gc
 import logging
+import os
+import re
+import signal
+import socket
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.config import RimConfig
 from repro.core.streaming import MotionUpdate
 from repro.motionsim.profiles import line_trajectory
@@ -31,7 +37,7 @@ from repro.net import (
 )
 from repro.net import framing
 from repro.robustness.health import HealthReport
-from repro.serve.session import ServeConfig
+from repro.serve.session import ServeConfig, SessionManager
 from repro.shard.router import ShardRouter
 from repro.shutdown import GracefulShutdown
 
@@ -749,10 +755,52 @@ class TestLoopback:
                     host=server.config.host,
                     port=server.port,
                 )
+                # The fleet served the streams: an empty router must not be
+                # swapped for an in-process manager.
+                assert server.manager is router
+                served = [str(row["session"]) for row in router.stats()]
             finally:
                 server.close()
+        assert served == ["rx00", "rx01"]
         assert result["baseline_match"] is True
         assert result["aggregate"]["reconnects"] >= 1
+
+    def test_ttl_eviction_releases_finished_wire_sessions(self, net_trace):
+        # A finished session keeps its stats row until the manager's TTL
+        # evicts it; the next HELLO then drops its attachment, so nothing
+        # keeps the evicted estimator alive.
+        now = [0.0]
+        manager = SessionManager(
+            serve_config=ServeConfig(ttl_seconds=10.0), clock=lambda: now[0]
+        )
+        server = NetServer(manager=manager, config=NetServerConfig(port=0)).start()
+        try:
+            finished = []
+            for k in range(3):
+                client = _client(server, f"rx{k:02d}", net_trace)
+                client.connect()
+                try:
+                    for j in range(200):  # 1 s at 200 Hz
+                        client.send(float(net_trace.times[j]), net_trace.data[j])
+                    client.finish()
+                finally:
+                    client.close()
+                finished.append(weakref.ref(manager.get(f"rx{k:02d}")))
+            rows = server.session_stats()
+            assert [(r["session"], r["processed"]) for r in rows] == [
+                ("rx00", 200), ("rx01", 200), ("rx02", 200),
+            ]
+            now[0] += 11.0
+            client = _client(server, "rx03", net_trace)
+            try:
+                client.connect()
+            finally:
+                client.close()
+            gc.collect()
+            assert list(server._attachments) == ["rx03"]
+            assert [ref() for ref in finished] == [None, None, None]
+        finally:
+            server.close()
 
 
 def _client(server, name, trace):
@@ -765,6 +813,59 @@ def _client(server, name, trace):
         sample_shape=tuple(trace.data.shape[1:]),
         carrier_wavelength=trace.carrier_wavelength,
     )
+
+
+def test_net_serve_cli_serves_through_its_fleet(tmp_path, net_trace, capsys):
+    # `net-serve --shards 2` runs on the main thread until SIGINT, which
+    # a helper thread sends once its load is done.  Only the fleet
+    # records under --record-dir, and the exit line reports the rate the
+    # server served at.
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    record_dir = tmp_path / "rec"
+    loaded = []
+    before = signal.getsignal(signal.SIGINT)
+
+    def load():
+        try:
+            run_net_load(
+                [("rx00", net_trace), ("rx01", net_trace)],
+                client_config=NetClientConfig(
+                    max_connect_attempts=60, backoff_cap_s=0.5
+                ),
+                host="127.0.0.1",
+                port=port,
+                check_baseline=False,
+            )
+            loaded.append(True)
+        finally:
+            # Interrupt net-serve's own handler only, never the runner's.
+            deadline = time.monotonic() + 60.0
+            while (
+                signal.getsignal(signal.SIGINT) is before
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.05)
+            if signal.getsignal(signal.SIGINT) is not before:
+                os.kill(os.getpid(), signal.SIGINT)
+
+    helper = threading.Thread(target=load, name="net-serve-load")
+    helper.start()
+    rc = main([
+        "net-serve", "--port", str(port), "--shards", "2",
+        "--record-dir", str(record_dir),
+    ])
+    helper.join(timeout=30.0)
+    assert not helper.is_alive()
+    assert rc == 0 and loaded == [True]
+    out = capsys.readouterr().out
+    rate = re.search(r"2 sessions: \d+ samples in [\d.]+ ms wall \((\d+) samples/s\)", out)
+    assert rate is not None, out
+    assert int(rate.group(1)) > 0
+    assert "worst recovery" not in out
+    stores = sorted(path.parent.name for path in record_dir.glob("*/manifest.json"))
+    assert stores == ["rx00", "rx01"]
 
 
 def _ingest_threads():

@@ -10,10 +10,15 @@ Locks down the PR-9 acceptance criteria:
 * a SIGKILLed shard's sessions resume **bit-identically** on a
   survivor from their durable checkpoints;
 * worker-process metrics aggregate into the router registry without
-  double counting.
+  double counting;
+* the shard-scaling floor (``benchmarks/shard_scaling.py``) gates only
+  the rows the host has the cpus for.
 """
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,3 +349,44 @@ class TestFleet:
         assert "placement: " in table
         for row in result["sessions"]:
             assert row["shard"] in table
+
+
+@pytest.fixture(scope="module")
+def shard_scaling():
+    """The scaling script, imported by path (``benchmarks/`` is no package)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "shard_scaling.py"
+    spec = importlib.util.spec_from_file_location("shard_scaling", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestScalingGate:
+    def test_fails_gated_rows_below_floor(self, shard_scaling):
+        # 1 -> 2 shards: 1.8x (0.90x-linear); 1 -> 4 shards: 2.4x (0.60x).
+        rates = {1: 10.0, 2: 18.0, 4: 24.0}
+        rows = shard_scaling.scaling_gate(rates, n_cpus=4)
+        assert [(s, v) for s, _, _, v in rows] == [
+            (1, "baseline"), (2, "ok"), (4, "FAIL"),
+        ]
+        assert [e for _, _, e, _ in rows] == pytest.approx([1.0, 0.9, 0.6])
+        floor = shard_scaling.MIN_LINEAR_EFFICIENCY
+        rows = shard_scaling.scaling_gate({1: 10.0, 2: 20.0 * floor}, n_cpus=2)
+        assert rows[1][3] == "ok"
+
+    def test_counts_usable_cpus_from_affinity_mask(
+        self, shard_scaling, monkeypatch
+    ):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+        assert shard_scaling.usable_cpus() == 1
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert shard_scaling.usable_cpus() == 2
+
+    def test_rows_wider_than_usable_cpus_are_not_gated(
+        self, shard_scaling, monkeypatch
+    ):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        n_cpus = shard_scaling.usable_cpus()
+        assert n_cpus == 2
+        rows = shard_scaling.scaling_gate({1: 10.0, 2: 5.0, 4: 4.0}, n_cpus)
+        assert [v for *_, v in rows] == ["baseline", "FAIL", "not gated"]
