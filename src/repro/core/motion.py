@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
-from scipy.ndimage import median_filter
 
-from repro.nanops import nanmedian
+from repro.nanops import nanmedian, running_median
 
 
 @dataclass
@@ -138,16 +137,24 @@ def smooth_speed(speed: np.ndarray, window: int) -> np.ndarray:
     finite = np.isfinite(speed)
     if not finite.any():
         return speed
-    filled = speed.copy()
-    # Median filter needs dense data: forward/backward fill the NaNs first,
-    # then restore NaN where nothing was ever measured nearby.
-    idx = np.where(finite, np.arange(speed.size), -1)
+    return _filled_running_median(speed, finite, window)
+
+
+def _filled_running_median(
+    values: np.ndarray, finite: np.ndarray, size: int
+) -> np.ndarray:
+    """Running median of ``values`` with its NaNs filled first.
+
+    The median needs dense data: each NaN takes the last finite value
+    before it, and leading NaNs the first finite one.  ``finite`` must
+    hold at least one True.
+    """
+    idx = np.where(finite, np.arange(values.size), -1)
     np.maximum.accumulate(idx, out=idx)
-    filled = np.where(idx >= 0, speed[np.maximum(idx, 0)], np.nan)
-    first = np.argmax(finite)
-    filled[:first] = speed[first]
-    smoothed = median_filter(filled, size=window, mode="nearest")
-    return smoothed
+    filled = np.where(idx >= 0, values[np.maximum(idx, 0)], np.nan)
+    first = int(np.argmax(finite))
+    filled[:first] = values[first]
+    return running_median(filled, size)
 
 
 def integrate_rotation(
@@ -197,13 +204,7 @@ def integrate_rotation(
     finite = np.isfinite(omega)
     if finite.any():
         win = max(3, int(round(0.2 * sampling_rate)) | 1)
-        filled = omega.copy()
-        idx = np.where(finite, np.arange(omega.size), -1)
-        np.maximum.accumulate(idx, out=idx)
-        filled = np.where(idx >= 0, omega[np.maximum(idx, 0)], np.nan)
-        first = int(np.argmax(finite))
-        filled[:first] = omega[first]
-        smoothed = median_filter(filled, size=win, mode="nearest")
+        smoothed = _filled_running_median(omega, finite, win)
         omega = np.where(finite, smoothed, np.nan)
     # Inside the event, bridge samples where no ring pair resolved a lag by
     # interpolating the angular speed — rotation is continuous, so gaps in

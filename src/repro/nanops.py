@@ -1,4 +1,5 @@
-"""NaN-tolerant reductions that stay silent on all-NaN slices.
+"""NaN-tolerant reductions that stay silent on all-NaN slices, and an
+exact running median.
 
 ``np.nanmean``/``np.nanmedian`` emit RuntimeWarnings when a slice holds no
 finite value; lost-packet columns make that a routine, expected condition
@@ -58,3 +59,23 @@ def nanmax(values: np.ndarray, axis=None) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=RuntimeWarning)
         return np.nanmax(values, axis=axis)
+
+
+def running_median(values: np.ndarray, size: int) -> np.ndarray:
+    """Running median of a 1-D array over ``size`` samples, edges held.
+
+    Element ``i`` is the value of rank ``size // 2`` (0-based) among the
+    ``size`` samples starting at ``i - size // 2``, with the first and
+    last sample repeated past either end.  That is the definition of
+    SciPy's ``ndimage.median_filter(values, size, mode="nearest")``, for
+    odd and even ``size`` alike, and the result equals it element for
+    element, ties and ±inf included (``tests/test_nanops.py`` checks
+    this against SciPy).  The input must be a non-empty float64 array
+    free of NaN, and ``size`` at least 1, as ``core.motion`` guarantees
+    before calling: NaN has no rank, so where a window holds one the
+    result is unspecified.
+    """
+    half = size // 2
+    padded = np.pad(values, (half, size - 1 - half), mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, size)
+    return np.partition(windows, half, axis=-1)[:, half]

@@ -99,7 +99,7 @@ def disable() -> None:
 
 
 def reset() -> None:
-    """Drop all recorded spans and metrics."""
+    """Drop all recorded metrics and abandon every open span."""
     TRACER.reset()
     METRICS.reset()
 

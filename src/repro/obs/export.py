@@ -14,7 +14,10 @@ Three consumers, one registry:
   ``_count``.  The parser doubles as the CI validator.
 * :class:`MetricsHTTPServer` — a tiny stdlib HTTP endpoint
   (``/metrics``, ``/metrics.json``, ``/flight.json``, ``/healthz``)
-  NetServer and serve-sim can expose during a run.
+  NetServer and serve-sim can expose during a run.  ``http.server`` (and
+  the ``email``, ``http.client`` and ``ssl`` modules it pulls in) loads
+  when the first one is built, so importing :mod:`repro` does not pay
+  for an endpoint most processes never open.
 
 Everything is stdlib-only and pull-based: nothing here mutates metrics,
 so exporters can run concurrently with the hot path (per-metric locks in
@@ -23,12 +26,12 @@ so exporters can run concurrently with the hot path (per-metric locks in
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -407,53 +410,61 @@ def render_dashboard(
 # -- HTTP endpoint --------------------------------------------------------
 
 
-class _MetricsHandler(BaseHTTPRequestHandler):
-    server_version = "rim-metrics/1"
+@functools.lru_cache(maxsize=None)
+def _handler_class():
+    """The endpoint's request handler, defined on first use so that
+    importing this module does not load ``http.server``."""
+    from http.server import BaseHTTPRequestHandler
 
-    def log_message(self, fmt, *args):  # pragma: no cover - silence stderr
-        pass
+    class _MetricsHandler(BaseHTTPRequestHandler):
+        server_version = "rim-metrics/1"
 
-    def _respond(self, body: bytes, content_type: str, status: int = 200) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        def log_message(self, fmt, *args):  # pragma: no cover - silence stderr
+            pass
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        try:
-            registry = self.server.registry  # type: ignore[attr-defined]
-            if self.path == "/metrics":
-                body = render_exposition(registry.snapshot()).encode("utf-8")
-                self._respond(body, "text/plain; version=0.0.4; charset=utf-8")
-            elif self.path == "/metrics.json":
-                payload = {
-                    "schema": TELEMETRY_SCHEMA,
-                    "event": "metrics",
-                    "ts": time.time(),
-                    "metrics": registry.snapshot(),
-                }
-                self._respond(
-                    json.dumps(payload, sort_keys=True).encode("utf-8"),
-                    "application/json",
-                )
-            elif self.path == "/flight.json":
-                from repro import obs
+        def _respond(self, body: bytes, content_type: str, status: int = 200) -> None:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
 
-                payload = obs.FLIGHT.payload("http-request")
-                self._respond(
-                    json.dumps(payload, sort_keys=True).encode("utf-8"),
-                    "application/json",
-                )
-            elif self.path == "/healthz":
-                self._respond(b"ok\n", "text/plain; charset=utf-8")
-            else:
-                self._respond(b"not found\n", "text/plain; charset=utf-8", 404)
-        except Exception:  # pragma: no cover - endpoint must never crash
+        def do_GET(self) -> None:  # noqa: N802 - http.server API
             try:
-                self._respond(b"error\n", "text/plain; charset=utf-8", 500)
-            except OSError:
-                pass
+                registry = self.server.registry  # type: ignore[attr-defined]
+                if self.path == "/metrics":
+                    body = render_exposition(registry.snapshot()).encode("utf-8")
+                    self._respond(body, "text/plain; version=0.0.4; charset=utf-8")
+                elif self.path == "/metrics.json":
+                    payload = {
+                        "schema": TELEMETRY_SCHEMA,
+                        "event": "metrics",
+                        "ts": time.time(),
+                        "metrics": registry.snapshot(),
+                    }
+                    self._respond(
+                        json.dumps(payload, sort_keys=True).encode("utf-8"),
+                        "application/json",
+                    )
+                elif self.path == "/flight.json":
+                    from repro import obs
+
+                    payload = obs.FLIGHT.payload("http-request")
+                    self._respond(
+                        json.dumps(payload, sort_keys=True).encode("utf-8"),
+                        "application/json",
+                    )
+                elif self.path == "/healthz":
+                    self._respond(b"ok\n", "text/plain; charset=utf-8")
+                else:
+                    self._respond(b"not found\n", "text/plain; charset=utf-8", 404)
+            except Exception:  # pragma: no cover - endpoint must never crash
+                try:
+                    self._respond(b"error\n", "text/plain; charset=utf-8", 500)
+                except OSError:
+                    pass
+
+    return _MetricsHandler
 
 
 class MetricsHTTPServer:
@@ -466,8 +477,9 @@ class MetricsHTTPServer:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, registry=None):
-        self._registry = registry
-        self._server = ThreadingHTTPServer((host, port), _MetricsHandler)
+        from http.server import ThreadingHTTPServer
+
+        self._server = ThreadingHTTPServer((host, port), _handler_class())
         self._server.daemon_threads = True
         self._server.registry = (  # type: ignore[attr-defined]
             registry if registry is not None else _default_registry()

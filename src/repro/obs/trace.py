@@ -20,9 +20,12 @@ numerics — a traced run and an untraced run produce bit-identical
 estimates (enforced by ``tests/test_obs.py``).
 
 The tracer is thread-aware: the open-span stack is thread-local (spans
-nest within their own thread only) and the shared roots list is guarded
-by a lock, so the serving layer (:mod:`repro.serve`) can run many traced
-sessions across a worker pool — each session's span tree stays intact.
+nest within their own thread only), so the serving layer
+(:mod:`repro.serve`) can run many traced sessions across a worker pool —
+each session's span tree stays intact.  The tracer keeps no finished
+span: a tree lives as long as the caller holds the span its ``with``
+statement returned (``Rim.process`` sums it into the result's ``stats``
+and lets it go), so a long traced run does not grow with every block.
 """
 
 from __future__ import annotations
@@ -122,8 +125,8 @@ class Tracer:
 
     Span nesting is tracked per thread: spans opened on a worker thread
     nest under that thread's open spans only, never under another
-    thread's.  Completed top-level spans from all threads land in the
-    shared ``roots`` list (append is lock-protected).
+    thread's.  A top-level span is referenced by nothing here once it
+    closes; its tree belongs to whoever holds the span.
 
     Args:
         enabled: Start enabled (default off — production streams pay
@@ -132,8 +135,6 @@ class Tracer:
 
     def __init__(self, enabled: bool = False):
         self.enabled = bool(enabled)
-        self.roots: List[Span] = []
-        self._lock = threading.Lock()
         self._local = _SpanStack()
 
     def span(self, name: str, **meta: Any):
@@ -149,12 +150,10 @@ class Tracer:
         return stack[-1] if stack else None
 
     def reset(self) -> None:
-        """Drop all recorded spans (open spans are abandoned)."""
-        with self._lock:
-            self.roots.clear()
-            # Replacing the thread-local drops every thread's open stack;
-            # each thread lazily re-creates an empty one on next use.
-            self._local = _SpanStack()
+        """Abandon every open span, on every thread."""
+        # Replacing the thread-local drops every thread's open stack;
+        # each thread lazily re-creates an empty one on next use.
+        self._local = _SpanStack()
 
     # -- span-context plumbing -------------------------------------------
 
@@ -162,9 +161,6 @@ class Tracer:
         stack = self._local.stack
         if stack:
             stack[-1].children.append(span)
-        else:
-            with self._lock:
-                self.roots.append(span)
         stack.append(span)
 
     def _pop(self, now: float) -> None:

@@ -383,9 +383,12 @@ class BatchedBackend(KernelBackend):
 # Rows per BLAS band job.  The partner window spans chunk+2W columns, so
 # the fraction of computed cells the band actually keeps falls as chunks
 # grow ((chunk+2W)/(2W+1) waste); smaller chunks claw that back until
-# dgemm's small-m efficiency loss wins.  48 is the measured sweet spot at
-# W=60 — the per-job index prep that used to tax small chunks is memoized
-# across jobs (it only depends on the chunk geometry, not its position).
+# dgemm's small-m efficiency loss wins.  At the default W=100 (K=3
+# antennas, 2S=228, one BLAS thread, GEMM plus band extraction), a row
+# cost 29.6, 31.4, 24.9, 25.6 and 35.8 us at 16, 24, 48, 96 and 192 rows
+# per job, so 48 stays.  The per-job index prep that used to tax small
+# chunks is memoized across jobs (it only depends on the chunk geometry,
+# not its position).
 _GEMM_CHUNK = 48
 _MIN_GEMM_SPAN = 16  # narrower clusters fall back to the gather kernel
 # The BLAS kernel is >10x cheaper per cell than the per-lag gather, so

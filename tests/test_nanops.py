@@ -1,4 +1,5 @@
-"""Unit tests for the silent NaN-tolerant reductions in repro.nanops."""
+"""Unit tests for the silent NaN-tolerant reductions and the running median
+in repro.nanops."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nanops import nanmax, nanmean, nanmedian
+from repro.nanops import nanmax, nanmean, nanmedian, running_median
 
 ALL_FUNCS = [nanmean, nanmedian, nanmax]
 NUMPY_EQUIV = {nanmean: np.nanmean, nanmedian: np.nanmedian, nanmax: np.nanmax}
@@ -96,3 +97,33 @@ def test_nanmedian_bit_identical_to_numpy(data):
         got = nanmedian(values, axis=axis)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_running_median_equals_scipy_median_filter(data):
+    """The numpy running median is SciPy's ``median_filter`` with
+    ``mode="nearest"``, element for element: every length 1-300, every
+    size from 1 to two past the length (odd and even), ties and ±inf.
+    SciPy is the test oracle only; the package does not import it."""
+    from scipy.ndimage import median_filter
+
+    n = data.draw(st.integers(1, 300))
+    size = data.draw(st.integers(1, n + 2))
+    elements = st.one_of(
+        st.sampled_from([np.inf, -np.inf, -1.0, 0.0, 0.25, 0.5]),
+        st.floats(allow_nan=False),
+    )
+    values = data.draw(hnp.arrays(np.float64, n, elements=elements))
+    got = running_median(values, size)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, median_filter(values, size=size, mode="nearest"))
+
+
+def test_running_median_edges():
+    values = np.array([5.0, 1.0, 4.0, 2.0, 3.0])
+    np.testing.assert_array_equal(running_median(values, 1), values)
+    # Edges repeat the end samples: [5, 5, 1] -> 5, [1, 4, 2] -> 2, ...
+    np.testing.assert_array_equal(running_median(values, 3), [5.0, 4.0, 2.0, 3.0, 3.0])
+    # Even sizes take rank size // 2 of the window starting size // 2 back.
+    np.testing.assert_array_equal(running_median(values, 2), [5.0, 5.0, 4.0, 4.0, 3.0])

@@ -12,6 +12,9 @@ Covers the PR-2 acceptance criteria:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -41,10 +44,12 @@ def test_spans_nest_correctly():
         with tracer.span("inner_b"):
             with tracer.span("leaf"):
                 pass
+        # The returned span is the one the tracer nests under: the root.
+        assert tracer.current is outer
     assert tracer.current is None
-    assert len(tracer.roots) == 1
-    root = tracer.roots[0]
-    assert root is outer
+    root = outer
+    # One root: every span opened landed in its tree.
+    assert [s.name for s in root.walk()] == ["outer", "inner_a", "inner_b", "leaf"]
     assert [c.name for c in root.children] == ["inner_a", "inner_b"]
     assert [c.name for c in root.children[1].children] == ["leaf"]
     # Wall time flows down the tree: the parent covers its children.
@@ -73,7 +78,7 @@ def test_disabled_tracer_is_noop():
     assert ctx is NULL_SPAN  # shared singleton: no per-call allocation
     with ctx as span:
         assert span is None
-    assert tracer.roots == []
+        assert tracer.current is None  # nothing pushed, so nothing kept
     assert tracer.current is None
 
 
@@ -84,7 +89,31 @@ def test_disabled_obs_records_nothing():
     assert len(obs.METRICS) == 0
     with obs.span("nothing") as span:
         assert span is None
-    assert obs.TRACER.roots == []
+        assert obs.TRACER.current is None  # nothing pushed, so nothing kept
+    assert obs.TRACER.current is None
+
+
+def test_traced_process_keeps_no_span_tree_after_its_result(line_trace, monkeypatch):
+    """The tracer holds no finished span tree.
+
+    Every telemetry flag of the serving verbs turns tracing on for the
+    whole run, so a tree kept per ``Rim.process`` call would grow without
+    bound.  The root span must die with the call's result.
+    """
+    roots = []
+    span_stats = obs.span_stats
+
+    def keep_weakref(root):
+        roots.append(weakref.ref(root))
+        return span_stats(root)
+
+    monkeypatch.setattr(obs, "span_stats", keep_weakref)
+    obs.enable()
+    result = Rim(RimConfig(max_lag=40)).process(line_trace)
+    assert result.stats["spans"] and len(roots) == 1
+    del result
+    gc.collect()
+    assert roots[0]() is None
 
 
 # -- metrics --------------------------------------------------------------

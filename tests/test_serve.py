@@ -276,14 +276,18 @@ class TestThreadedTracing:
         obs.reset()
         obs.enable()
         try:
-            barrier = threading.Barrier(2)
+            barrier = threading.Barrier(2, timeout=10)
+            roots = []
 
             def work(tag):
-                barrier.wait()
                 for _ in range(50):
-                    with obs.span(f"outer.{tag}"):
+                    with obs.span(f"outer.{tag}") as outer:
+                        # Both threads hold an open outer span here, so a
+                        # stack shared across threads would nest them.
+                        barrier.wait()
                         with obs.span(f"inner.{tag}"):
                             pass
+                    roots.append(outer)  # list.append is atomic
 
             threads = [
                 threading.Thread(target=work, args=(t,)) for t in ("a", "b")
@@ -292,12 +296,16 @@ class TestThreadedTracing:
                 t.start()
             for t in threads:
                 t.join()
-            roots = obs.TRACER.roots
             assert len(roots) == 100
+            # Each of the 200 spans opened sits in exactly one outer tree:
+            # an outer span nested under the other thread's span would be
+            # walked twice, from its own root and from its host's.
+            assert sum(1 for root in roots for _ in root.walk()) == 200
             for root in roots:
                 tag = root.name.split(".")[1]
                 assert root.name == f"outer.{tag}"
                 assert [c.name for c in root.children] == [f"inner.{tag}"]
+                assert root.children[0].children == []
         finally:
             obs.disable()
             obs.reset()
