@@ -10,7 +10,6 @@ Usage::
     python -m repro.cli serve-sim            # concurrent multi-receiver replay
     python -m repro.cli record --out DIR     # record a simulated receiver
     python -m repro.cli replay DIR           # integrity-checked store replay
-    python -m repro.cli convert SRC DEST     # legacy .npz -> chunked store
     python -m repro.cli net-serve            # TCP ingestion server
     python -m repro.cli net-load             # network load client (loopback
                                              # by default; --fault-plan for
@@ -243,10 +242,8 @@ def cmd_demo(args) -> int:
     if result.health is not None:
         print()
         print(result.health.summary())
-    if args.trace and result.stats is not None:
+    if args.trace:
         obs.disable()
-        print()
-        print(obs.render_span_table(result.stats["spans"]))
         print()
         print(obs.METRICS.render_table())
     return 0
@@ -599,23 +596,6 @@ def cmd_obs_top(args) -> int:
         print()
 
 
-def cmd_convert(args) -> int:
-    from pathlib import Path
-
-    from repro.store import npz_to_store
-
-    src = Path(args.src)
-    if not src.is_file():
-        print(f"{src} is not a legacy .npz archive", file=sys.stderr)
-        return 2
-    writer = npz_to_store(src, args.dest, chunk_samples=args.chunk_samples)
-    print(
-        f"converted legacy archive {src} -> store {args.dest} "
-        f"({writer.n_chunks} chunks, {writer.n_samples} samples)"
-    )
-    return 0
-
-
 def cmd_list(_args) -> int:
     runners = _register_runners()
     print("reproducible experiments:")
@@ -670,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument(
         "--trace",
         action="store_true",
-        help="enable repro.obs instrumentation and print span/metric tables",
+        help="enable repro.obs instrumentation and print the metrics table",
     )
     sub.add_parser("list", help="list reproducible figures")
 
@@ -835,16 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_top.add_argument(
         "--once", action="store_true", help="render one frame and exit"
     )
-
-    convert = sub.add_parser(
-        "convert", help="import a legacy .npz archive into a chunked trace store"
-    )
-    convert.add_argument("src", help="legacy .npz archive")
-    convert.add_argument("dest", help="destination store directory")
-    convert.add_argument(
-        "--chunk-samples", type=int, default=256,
-        help="packets per chunk file",
-    )
     return parser
 
 
@@ -858,7 +828,6 @@ def main(argv=None) -> int:
         "serve-sim": cmd_serve_sim,
         "record": cmd_record,
         "replay": cmd_replay,
-        "convert": cmd_convert,
         "net-serve": cmd_net_serve,
         "net-load": cmd_net_load,
         "obs-top": cmd_obs_top,

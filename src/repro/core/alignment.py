@@ -175,13 +175,7 @@ def alignment_matrix(
         raise ValueError(f"virtual_window must be >= 1, got {virtual_window}")
     t = int(np.asarray(csi_i).shape[0])
     n_lags = 2 * max_lag + 1
-    with obs.span(
-        "alignment_matrix",
-        pair=pair,
-        shape=(t, n_lags),
-        virtual_window=virtual_window,
-        time_stride=time_stride,
-    ):
+    with obs.span("alignment_matrix"):
         norm_i = csi_i if normalized else normalize_csi(csi_i)
         norm_j = csi_j if normalized else normalize_csi(csi_j)
         base = base_trrs_matrix(norm_i, norm_j, max_lag, time_stride=time_stride)

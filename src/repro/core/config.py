@@ -14,6 +14,27 @@ KERNEL_BACKENDS = ("batched", "reference")
 KERNEL_DTYPES = ("float64", "float32")
 GUARD_POLICIES = ("off", "raise", "drop", "repair")
 
+#: l_mv of §4.1 — self-TRRS comparison lag, seconds.
+MOVEMENT_LAG_SECONDS = 0.1
+#: Parabolic sub-sample lag refinement on/off.
+REFINE_SUBSAMPLE = True
+#: Minimum pre-detection prominence to survive.
+PRE_DETECT_MIN_SCORE = 0.01
+#: Below this quality no group is selected.
+SELECTION_MIN_QUALITY = 0.05
+#: Adjacent (ring) groups that must align simultaneously to declare
+#: rotation (hexagon: 3 exist).
+ROTATION_MIN_GROUPS = 3
+#: Per-sample quality threshold for ring pairs — must sit above the
+#: prominence a DP path extracts from pure noise (~0.13 with the default V).
+ROTATION_QUALITY = 0.25
+#: Strided pre-screen prominence a ring pair needs before the full
+#: rotation check runs.
+ROTATION_PRE_SCORE = 0.05
+#: Add Δd to the integrated distance to reimburse the blind start-up
+#: period (§5, "Minimum initial motion").
+MIN_INITIAL_DISTANCE_COMPENSATION = True
+
 
 @dataclass
 class RimConfig:
@@ -26,33 +47,19 @@ class RimConfig:
         virtual_window: V — number of virtual massive antennas averaged in
             Eqn. 4.
         sanitize: Remove the per-packet linear phase (STO/SFO) first.
-        movement_lag_seconds: l_mv of §4.1 — self-TRRS comparison lag.
         movement_threshold: Movement declared below this self-TRRS.
         movement_min_run: Debounce length (samples) for the movement mask.
         transition_weight: ω < 0 of the DP tracker (Eqn. 7).
-        refine_subsample: Parabolic sub-sample lag refinement on/off.
         min_speed_lag: |lag| (samples) below which speed is not computed
             (lag quantization dominates; near-zero lags mean parallel or
             stationary geometry).
         pre_detect_stride: Row stride of the cheap pre-detection screen.
         pre_detect_keep: Maximum number of candidate groups kept.
-        pre_detect_min_score: Minimum pre-detection prominence to survive.
         use_parallel_averaging: Average matrices of parallel isometric
             pairs before tracking (§4.2 optimization).
         quality_smoothing: Window (samples) for per-sample group quality.
         selection_hysteresis: Quality margin a challenger group needs.
-        selection_min_quality: Below this quality no group is selected.
         speed_smoothing: Median-filter window (samples) on speeds.
-        rotation_min_groups: Adjacent (ring) groups that must align
-            simultaneously to declare rotation (hexagon: 3 exist).
-        rotation_quality: Per-sample quality threshold for ring pairs —
-            must sit above the prominence a DP path extracts from pure
-            noise (~0.13 with the default V).
-        rotation_pre_score: Strided pre-screen prominence a ring pair
-            needs before the full rotation check runs.
-        min_initial_distance_compensation: Add Δd to the integrated
-            distance to reimburse the blind start-up period (§5,
-            "Minimum initial motion").
         fine_direction: Refine headings beyond the array's discrete
             direction grid by interpolating the peak strengths of flanking
             pair groups (the §7 "angle resolution" extension).
@@ -90,30 +97,20 @@ class RimConfig:
     virtual_window: int = 31
     sanitize: bool = True
 
-    movement_lag_seconds: float = 0.1
     movement_threshold: float = 0.95
     movement_min_run: int = 10
 
     transition_weight: float = -2.0
-    refine_subsample: bool = True
     min_speed_lag: float = 1.5
 
     pre_detect_stride: int = 8
     pre_detect_keep: int = 4
-    pre_detect_min_score: float = 0.01
 
     use_parallel_averaging: bool = True
     quality_smoothing: int = 31
     selection_hysteresis: float = 0.02
-    selection_min_quality: float = 0.05
 
     speed_smoothing: int = 15
-
-    rotation_min_groups: int = 3
-    rotation_quality: float = 0.25
-    rotation_pre_score: float = 0.05
-
-    min_initial_distance_compensation: bool = True
 
     fine_direction: bool = False
 

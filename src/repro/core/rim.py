@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -33,7 +33,17 @@ from repro import obs
 from repro.arrays.pairs import AntennaPair, adjacent_ring_pairs, parallel_groups
 from repro.channel.sampler import CsiTrace
 from repro.core.alignment import average_matrices
-from repro.core.config import RimConfig
+from repro.core.config import (
+    MIN_INITIAL_DISTANCE_COMPENSATION,
+    MOVEMENT_LAG_SECONDS,
+    PRE_DETECT_MIN_SCORE,
+    REFINE_SUBSAMPLE,
+    ROTATION_MIN_GROUPS,
+    ROTATION_PRE_SCORE,
+    ROTATION_QUALITY,
+    SELECTION_MIN_QUALITY,
+    RimConfig,
+)
 from repro.core.motion import (
     MotionEstimate,
     RotationEvent,
@@ -67,7 +77,6 @@ class RimResult:
     group_tracks: List[GroupTrack]
     ring_tracks: List[GroupTrack] = field(default_factory=list)
     health: Optional[HealthReport] = None
-    stats: Optional[Dict[str, Any]] = None
 
     @property
     def total_distance(self) -> float:
@@ -133,10 +142,10 @@ class Rim:
         :class:`~repro.robustness.health.HealthReport` documenting all of
         it is attached to the result.
 
-        When instrumentation is on (:func:`repro.obs.enable`) the result
-        additionally carries ``stats`` — per-stage wall-time spans and the
-        root span metadata — mirroring how ``health`` flows.  Tracing is
-        observational only: it never changes an output bit.
+        When instrumentation is on (:func:`repro.obs.enable`) the call and
+        each of its stages observe their wall time into ``span.rim.*``
+        histograms of ``obs.METRICS``.  Tracing is observational only: it
+        never changes an output bit.
 
         Args:
             trace: The CSI trace to process.
@@ -153,23 +162,14 @@ class Rim:
                 validates the cross-block TRRS cache); silently ignored
                 otherwise, so correctness never depends on it.
         """
-        span_cm = obs.span(
-            "rim.process", n_samples=trace.n_samples, n_rx=trace.n_rx
-        )
-        root = span_cm.__enter__()
-        try:
+        with obs.span("rim.process"):
             result = self._run_pipeline(
                 trace,
                 stream_cache=stream_cache,
                 stream_offset=stream_offset,
                 presanitized=presanitized,
             )
-        finally:
-            span_cm.__exit__(None, None, None)
-        if root is not None:
-            obs.add("rim.traces_processed", 1)
-            obs.add("rim.samples_processed", trace.n_samples)
-            result.stats = obs.span_stats(root)
+        obs.add("rim.samples_processed", trace.n_samples)
         return result
 
     def _run_pipeline(
@@ -182,7 +182,7 @@ class Rim:
         cfg = self.config
         guard_report = None
         if cfg.guard_policy != "off":
-            with obs.span("rim.guard", policy=cfg.guard_policy):
+            with obs.span("rim.guard"):
                 trace, guard_report = guard_trace(
                     trace,
                     policy=cfg.guard_policy,
@@ -214,9 +214,7 @@ class Rim:
             and stream_safe
             and presanitized.shape == data.shape
         )
-        with obs.span(
-            "rim.sanitize", shape=data.shape, sanitize=cfg.sanitize, fused=fused
-        ):
+        with obs.span("rim.sanitize"):
             if fused:
                 # Every sample was sanitized exactly once at ingest (and
                 # counted there in ``sanitize.samples``); the block pass
@@ -259,7 +257,7 @@ class Rim:
         groups = [g for g in groups if g]
         usable_pairs = sum(len(g) for g in groups)
 
-        with obs.span("rim.movement_detect", shape=data.shape):
+        with obs.span("rim.movement_detect"):
             movement = self._detect_movement(data, fs, dead)
         moving = movement.moving
 
@@ -292,13 +290,13 @@ class Rim:
                 motion=motion, movement=movement, group_tracks=[], health=health
             )
 
-        with obs.span("rim.pre_screen", n_groups=len(groups)):
+        with obs.span("rim.pre_screen"):
             candidates = self._pre_detect(store, groups, moving, fs)
-        with obs.span("rim.track_groups", n_candidates=len(candidates)):
+        with obs.span("rim.track_groups"):
             tracks = self._track_groups(store, candidates, fs)
             tracks = self._post_filter(tracks, moving)
 
-        with obs.span("rim.rotation_detect", circular=trace.array.circular):
+        with obs.span("rim.rotation_detect"):
             ring_tracks, rotations = self._detect_rotation(
                 trace, store, moving, fs, dead
             )
@@ -306,7 +304,7 @@ class Rim:
         if stream_cache is not None and cache_ok:
             self._kernel.export_store(store, stream_cache, stream_offset)
 
-        with obs.span("rim.integrate", n_tracks=len(tracks)):
+        with obs.span("rim.integrate"):
             motion = self._reckon(
                 trace,
                 tracks,
@@ -383,7 +381,7 @@ class Rim:
                 moving=np.zeros(data.shape[0], dtype=bool),
                 threshold=cfg.movement_threshold,
             )
-        lag = max(1, int(round(cfg.movement_lag_seconds * fs)))
+        lag = max(1, int(round(MOVEMENT_LAG_SECONDS * fs)))
         indicator = self_trrs_indicator(
             data[:, reference], lag, virtual_window=max(1, cfg.virtual_window // 4)
         )
@@ -421,7 +419,7 @@ class Rim:
             )
             scored.append((score, group))
         scored.sort(key=lambda item: item[0], reverse=True)
-        keep = [g for s, g in scored[: cfg.pre_detect_keep] if s >= cfg.pre_detect_min_score]
+        keep = [g for s, g in scored[: cfg.pre_detect_keep] if s >= PRE_DETECT_MIN_SCORE]
         if not keep and scored:
             keep = [scored[0][1]]
         obs.add("rim.groups_prescreened", len(groups))
@@ -460,7 +458,7 @@ class Rim:
         paths = self._kernel.track_paths(
             group_matrices,
             transition_weight=cfg.transition_weight,
-            refine=cfg.refine_subsample,
+            refine=REFINE_SUBSAMPLE,
         )
         tracks = []
         for group, matrix, path in zip(candidates, group_matrices, paths):
@@ -527,7 +525,7 @@ class Rim:
             # shrinks with the surviving ring, so rotation sensing keeps
             # working (at reduced confidence) until too few pairs remain.
             ring = [p for p in ring if p.i not in dead and p.j not in dead]
-            if len(ring) < 2 * cfg.rotation_min_groups:
+            if len(ring) < 2 * ROTATION_MIN_GROUPS:
                 return [], []
         # Cheap screen first: rotation requires most ring pairs prominent.
         # One batched request covers all ring pairs; the strided base rows
@@ -540,8 +538,8 @@ class Rim:
             time_stride=cfg.pre_detect_stride,
         )
         pre_scores = [peak_prominence_score(m.values, moving) for m in pre_mats]
-        prominent = sum(s >= cfg.rotation_pre_score for s in pre_scores)
-        if prominent < 2 * cfg.rotation_min_groups:
+        prominent = sum(s >= ROTATION_PRE_SCORE for s in pre_scores)
+        if prominent < 2 * ROTATION_MIN_GROUPS:
             return [], []
 
         # In-place rotation moves antennas at the slow arc speed ω·r, so a
@@ -556,7 +554,7 @@ class Rim:
         paths = self._kernel.track_paths(
             ring_mats,
             transition_weight=cfg.transition_weight,
-            refine=cfg.refine_subsample,
+            refine=REFINE_SUBSAMPLE,
         )
         tracks = []
         for p, matrix, path in zip(ring, ring_mats, paths):
@@ -574,7 +572,7 @@ class Rim:
         strong = np.stack(
             [
                 nan_moving_average(
-                    (t.quality > cfg.rotation_quality).astype(float)[:, None],
+                    (t.quality > ROTATION_QUALITY).astype(float)[:, None],
                     smooth_win,
                 )[:, 0]
                 > 0.5
@@ -594,7 +592,7 @@ class Rim:
         unique_axes = np.unique(np.round(axes, 3))
         t_len = strong.shape[1]
         n_ring = len(tracks)
-        need_pairs = max(cfg.rotation_min_groups + 1, n_ring - 2)
+        need_pairs = max(ROTATION_MIN_GROUPS + 1, n_ring - 2)
         from repro.nanops import nanmedian
 
         for sign in (1, -1):
@@ -616,7 +614,7 @@ class Rim:
                 members = np.isclose(axes, axis, atol=1e-3)
                 axis_count += coherent[members].any(axis=0)
             candidate = (pair_count >= need_pairs) & (
-                axis_count >= cfg.rotation_min_groups
+                axis_count >= ROTATION_MIN_GROUPS
             )
             if sign == 1:
                 rotating = candidate
@@ -671,7 +669,7 @@ class Rim:
         events: List[RotationEvent] = []
         ring_lags = np.stack([t.path.refined_lags for t in tracks], axis=0)
         # Only count lags where the ring pair actually shows a peak.
-        strong = np.stack([t.quality > cfg.rotation_quality for t in tracks], axis=0)
+        strong = np.stack([t.quality > ROTATION_QUALITY for t in tracks], axis=0)
         ring_lags = np.where(strong, ring_lags, np.nan)
         arc = arc_separation(trace.array, tracks[0].pairs[0].i, tracks[0].pairs[0].j)
         radius = trace.array.radius
@@ -721,7 +719,7 @@ class Rim:
             tracks,
             translating,
             hysteresis=cfg.selection_hysteresis,
-            min_quality=cfg.selection_min_quality,
+            min_quality=SELECTION_MIN_QUALITY,
         )
 
         speed = np.full(t, np.nan)
@@ -744,7 +742,7 @@ class Rim:
             from repro.core.finedirection import refine_headings
 
             heading = refine_headings(
-                tracks, choice, heading, floor=cfg.selection_min_quality
+                tracks, choice, heading, floor=SELECTION_MIN_QUALITY
             )
 
         if blind is not None and blind.any():
@@ -788,7 +786,7 @@ class Rim:
             finite = np.nonzero(np.isfinite(seg))[0]
             if finite.size == 0:
                 continue
-            if self.config.min_initial_distance_compensation:
+            if MIN_INITIAL_DISTANCE_COMPENSATION:
                 seg[: finite[0]] = seg[finite[0]]
             for idx in range(finite[0] + 1, seg.size):
                 if not np.isfinite(seg[idx]):

@@ -26,7 +26,7 @@ from repro import obs
 from repro.obs.provenance import SampleProvenance, block_breakdown, observe_breakdown
 from repro.arrays.geometry import AntennaArray
 from repro.channel.sampler import CsiTrace
-from repro.core.config import RimConfig
+from repro.core.config import MOVEMENT_LAG_SECONDS, RimConfig
 from repro.core.rim import Rim
 from repro.core.sanitize import remove_phase_slope
 from repro.motionsim.trajectory import Trajectory
@@ -51,11 +51,11 @@ class MotionUpdate:
         health: Health telemetry for this block (loss, liveness, repairs,
             degradation) — None only when the guard is off and the
             estimator produced no report.
-        stats: Per-block instrumentation (wall time, per-stage spans, and
-            — when the block-completing sample carried a provenance
-            context — a ``"provenance"`` wire/queue-wait/kernel/emit
-            latency breakdown) when :mod:`repro.obs` is enabled; None
-            otherwise.
+        stats: Per-block instrumentation when :mod:`repro.obs` is
+            enabled, None otherwise: ``"block_latency_s"`` (the block's
+            wall time) and — when the block-completing sample carried a
+            provenance context — a ``"provenance"`` wire/queue-wait/
+            kernel/emit latency breakdown.
     """
 
     times: np.ndarray
@@ -100,7 +100,7 @@ class StreamingRim:
         # Context must cover the lag window, the virtual aperture, and the
         # movement-detection lag so block-local processing sees the same
         # neighborhoods the offline pass would.
-        movement_lag = int(round(self.config.movement_lag_seconds * sampling_rate))
+        movement_lag = int(round(MOVEMENT_LAG_SECONDS * sampling_rate))
         self.context_samples = (
             self.config.max_lag + self.config.virtual_window + movement_lag
         )
@@ -392,7 +392,7 @@ class StreamingRim:
 
         Per-block latency (the real-time budget: it must stay under
         ``block_seconds`` to keep up with the packet rate, §5) is recorded
-        in the ``stream.block_latency_s`` histogram and attached to the
+        in the ``span.stream.block`` histogram and attached to the
         update's ``stats`` when :mod:`repro.obs` is enabled.
 
         When the block-completing sample carried a provenance context,
@@ -409,26 +409,15 @@ class StreamingRim:
                     prov = ctx
                     break
         kernel_entry_s = time.perf_counter()
-        span_cm = obs.span(
-            "stream.block", n_buffered=len(self._packets), final=final
-        )
-        root = span_cm.__enter__()
-        try:
+        with obs.span("stream.block"):
             update = self._process_block(final)
-        finally:
-            span_cm.__exit__(None, None, None)
         kernel_exit_s = time.perf_counter()
         self._blocks_emitted += 1
         self._samples_emitted += int(update.times.size)
-        if root is not None:
+        if obs.enabled():
             obs.add("stream.blocks", 1)
             obs.add("stream.samples_emitted", int(update.times.size))
-            obs.observe(
-                "stream.block_latency_s", root.duration,
-                bounds=obs.LATENCY_BOUNDS_S,
-            )
-            obs.set_gauge("stream.last_block_latency_s", root.duration)
-            update.stats = {"block_latency_s": root.duration, **obs.span_stats(root)}
+            update.stats = {"block_latency_s": kernel_exit_s - kernel_entry_s}
             if prov is not None:
                 breakdown = block_breakdown(
                     prov,

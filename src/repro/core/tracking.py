@@ -70,12 +70,11 @@ def track_peaks(
     # are in [0, 1] or NaN, never infinite.
     e = np.array(matrix.values, dtype=np.float64)
     np.copyto(e, 0.0, where=np.isnan(e))
-    t, n_lags = e.shape
-    if t == 0:
+    if e.shape[0] == 0:
         empty = np.zeros(0)
         return TrackedPath(empty.astype(int), empty.astype(int), empty, empty, 0.0)
 
-    with obs.span("dp_tracking", pair=matrix.pair, shape=(t, n_lags)):
+    with obs.span("dp_tracking"):
         return _track_peaks(matrix, e, transition_weight, refine)
 
 

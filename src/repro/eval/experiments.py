@@ -16,7 +16,7 @@ import numpy as np
 from repro.arrays.geometry import hexagonal_array, linear_array
 from repro.arrays.pairs import parallel_groups
 from repro.core.alignment import alignment_matrix
-from repro.core.config import RimConfig
+from repro.core.config import MOVEMENT_LAG_SECONDS, RimConfig
 from repro.core.movement import detect_movement, self_trrs_indicator
 from repro.core.rim import Rim
 from repro.core.sanitize import sanitize_trace
@@ -230,7 +230,7 @@ def run_fig7_movement_detection(seed: int = 0, quick: bool = False) -> Dict:
     cfg = RimConfig()
 
     indicator = self_trrs_indicator(
-        data[:, 0], int(round(cfg.movement_lag_seconds * fs)), virtual_window=7
+        data[:, 0], int(round(MOVEMENT_LAG_SECONDS * fs)), virtual_window=7
     )
     detection = detect_movement(indicator, threshold=cfg.movement_threshold)
 

@@ -1,37 +1,21 @@
-"""CSI trace persistence: reading the legacy whole-trace ``.npz`` format.
+"""Trace metadata codecs shared by the store, net and shard layers.
 
 A real deployment records CSI once and reprocesses it many times (tuning
 configs, comparing algorithms), so traces need a stable on-disk format.
 That format is the chunked, append-only, integrity-checked store of
-:mod:`repro.store`, the only trace writer.  This module keeps
-:func:`load_trace` for existing single-file ``.npz`` archives, which
-``python -m repro.cli convert`` (:func:`repro.store.npz_to_store`)
-imports into a store, and holds the pieces both formats share
-(format-version validation, array/trajectory manifest codecs) so the two
-loaders cannot drift apart.
-
-The archive layout (format version 1) is one compressed NumPy archive
-with the entries ``format_version``, ``data``, ``times``,
-``tx_positions``, ``carrier_wavelength``, ``array_name``,
-``array_positions``, ``array_nics``, ``array_circular``, ``traj_times``,
-``traj_positions`` and ``traj_orientations``.
+:mod:`repro.store`.  This module holds its format-version check and the
+JSON codecs for the antenna array and the ground-truth trajectory, which
+the store manifest, the net HELLO and the shard CREATE messages share.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any, Dict, Sequence
 
 import numpy as np
 
 from repro.arrays.geometry import AntennaArray
-from repro.channel.sampler import CsiTrace
 from repro.motionsim.trajectory import Trajectory
-
-# Every .npz format version this build can read.  repro.store keeps its
-# own (binary chunk) version constant but funnels it through the same
-# check_format_version helper below.
-SUPPORTED_NPZ_VERSIONS = (1,)
 
 
 def check_format_version(
@@ -39,9 +23,9 @@ def check_format_version(
 ) -> int:
     """Validate an on-disk format version against what this build reads.
 
-    Shared by the legacy ``.npz`` loader and the :mod:`repro.store`
-    manifest/chunk readers, so "unknown version" always fails the same
-    way instead of silently reading a future layout.
+    :class:`repro.store.TraceReader` runs it on the store manifest, so
+    an unknown version fails loudly instead of silently reading a
+    future layout.
 
     Args:
         version: The version field as found on disk (any int-like).
@@ -71,9 +55,8 @@ def check_format_version(
 
 # -- array / trajectory manifest codecs ---------------------------------------
 #
-# JSON-friendly encodings of the trace metadata both persistence formats
-# need.  The legacy .npz stores the same fields as archive entries; the
-# chunked store (repro.store) embeds these dicts in its sidecar manifest.
+# JSON-friendly encodings of the trace metadata; the chunked store
+# (repro.store) embeds these dicts in its sidecar manifest.
 
 
 def array_to_manifest(array: AntennaArray) -> Dict[str, Any]:
@@ -119,46 +102,3 @@ def trajectory_from_manifest(payload: Dict[str, Any]) -> Trajectory:
         positions=np.asarray(payload["positions"], dtype=np.float64),
         orientations=np.asarray(payload["orientations"], dtype=np.float64),
     )
-
-
-# -- legacy .npz reader --------------------------------------------------------
-
-
-def load_trace(path) -> CsiTrace:
-    """Read a CSI trace from a legacy ``.npz`` archive (layout above).
-
-    Unknown ``format_version`` values are rejected through the shared
-    :func:`check_format_version` helper (also used by the chunked store),
-    so a future layout fails loudly instead of being misread.
-
-    Raises:
-        ValueError: On unknown format versions or malformed archives.
-    """
-    path = Path(path)
-    with np.load(path, allow_pickle=False) as archive:
-        if "format_version" not in archive.files:
-            raise ValueError(
-                f"{path} is not a RIM trace archive (no format_version field)"
-            )
-        check_format_version(
-            archive["format_version"], SUPPORTED_NPZ_VERSIONS, what=".npz trace"
-        )
-        array = AntennaArray(
-            name=bytes(archive["array_name"]).decode(),
-            local_positions=archive["array_positions"],
-            nic_assignment=archive["array_nics"],
-            circular=bool(archive["array_circular"]),
-        )
-        trajectory = Trajectory(
-            times=archive["traj_times"],
-            positions=archive["traj_positions"],
-            orientations=archive["traj_orientations"],
-        )
-        return CsiTrace(
-            data=archive["data"],
-            times=archive["times"],
-            array=array,
-            trajectory=trajectory,
-            tx_positions=archive["tx_positions"],
-            carrier_wavelength=float(archive["carrier_wavelength"]),
-        )

@@ -388,8 +388,8 @@ def encode_update(update: MotionUpdate) -> bytes:
     Layout: ``<II`` (sample count, JSON tail length), then ``times`` /
     ``speed`` / ``heading`` as float64 and ``moving`` as uint8, then a
     JSON tail carrying the distances (via repr — floats round-trip
-    exactly) and the health report.  ``stats`` (local profiling spans)
-    do not travel.
+    exactly) and the health report.  ``stats`` does not travel (its
+    provenance breakdown has its own TELEMETRY frame).
     """
     n = int(update.times.size)
     tail: Dict[str, Any] = {

@@ -1,8 +1,8 @@
-"""Pipeline observability: span tracing, metrics, and profiling hooks.
+"""Pipeline observability: stage timers, metrics, and profiling hooks.
 
 ``repro.obs`` is the instrumentation layer the rest of the package talks
-to.  It owns one process-wide :class:`~repro.obs.trace.Tracer` and one
-:class:`~repro.obs.metrics.MetricsRegistry`, both off by default:
+to.  It owns one process-wide :class:`~repro.obs.metrics.MetricsRegistry`
+(``obs.METRICS``), off by default:
 
 * when **disabled** (the default) every hook is a no-op — ``span()``
   returns a shared null context manager and the metric helpers return
@@ -10,18 +10,20 @@ to.  It owns one process-wide :class:`~repro.obs.trace.Tracer` and one
   untouched;
 * when **enabled** (``obs.enable()``, ``repro.cli demo --trace``, or a
   traced benchmark run, ``perfbench/run.py --trace 1``) the hot paths
-  record per-stage wall time, call counts, input shapes, and work
-  counters, and ``Rim.process`` / ``StreamingRim`` attach a ``stats``
-  dict to their results the same way ``health`` flows today.
+  record work counters, and each ``with obs.span(name):`` block observes
+  its wall time into the ``span.<name>`` histogram of ``obs.METRICS``.
+
+Stage timings therefore live where every other metric does: they cross
+the shard pipe with the worker's registry snapshot and reach the JSONL
+exporter, the exposition endpoint and ``obs-top``.
 
 Typical profiling session::
 
     from repro import obs
 
     obs.enable()
-    result = Rim().process(trace)          # result.stats now populated
-    print(obs.render_span_table(result.stats["spans"]))
-    print(obs.METRICS.render_table())
+    Rim().process(trace)
+    print(obs.METRICS.render_table())      # span.rim.* rows carry sum=
     obs.disable(); obs.reset()
 
 Since PR 7 the layer also spans process boundaries:
@@ -41,7 +43,8 @@ single output bit (enforced by ``tests/test_obs.py``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+import time
+from typing import Optional, Sequence
 
 from repro.obs.export import (
     TELEMETRY_SCHEMA,
@@ -71,53 +74,87 @@ from repro.obs.provenance import (
     observe_breakdown,
     validate_breakdown,
 )
-from repro.obs.trace import (
-    NULL_SPAN,
-    Span,
-    Tracer,
-    aggregate_spans,
-    render_span_table,
-)
 
-TRACER = Tracer(enabled=False)
 METRICS = MetricsRegistry()
+_enabled = False
 
 
 def enabled() -> bool:
     """Is instrumentation currently recording?"""
-    return TRACER.enabled
+    return _enabled
 
 
 def enable() -> None:
-    """Turn span tracing and metric collection on, process-wide."""
-    TRACER.enabled = True
+    """Turn stage timing and metric collection on, process-wide."""
+    global _enabled
+    _enabled = True
 
 
 def disable() -> None:
     """Turn instrumentation off (recorded data is kept until reset())."""
-    TRACER.enabled = False
+    global _enabled
+    _enabled = False
 
 
 def reset() -> None:
-    """Drop all recorded metrics and abandon every open span."""
-    TRACER.reset()
+    """Drop all recorded metrics."""
     METRICS.reset()
 
 
-def span(name: str, **meta: Any):
-    """Open a span on the global tracer (no-op singleton when disabled)."""
-    return TRACER.span(name, **meta)
+class _NullTimer:
+    """Shared no-op context manager returned while instrumentation is off."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc) -> bool:
+        return False
+
+
+NULL_SPAN = _NullTimer()
+
+
+class _Timer:
+    """Times one ``with`` block into a latency histogram of ``METRICS``."""
+
+    __slots__ = ("_name", "_started")
+
+    def __init__(self, name: str):
+        self._name = name
+        self._started = 0.0
+
+    def __enter__(self) -> None:
+        self._started = time.perf_counter()
+
+    def __exit__(self, *exc) -> bool:
+        elapsed = time.perf_counter() - self._started
+        METRICS.histogram(self._name, bounds=LATENCY_BOUNDS_S).observe(elapsed)
+        return False
+
+
+def span(name: str):
+    """Time a ``with`` block into the ``span.<name>`` histogram.
+
+    The recorded time is inclusive: a span opened inside another one is
+    counted in both.  While instrumentation is off this returns the
+    shared :data:`NULL_SPAN`, which reads no clock and records nothing.
+    """
+    if not _enabled:
+        return NULL_SPAN
+    return _Timer("span." + name)
 
 
 def add(name: str, n: float = 1) -> None:
     """Increment a counter — only while instrumentation is enabled."""
-    if TRACER.enabled:
+    if _enabled:
         METRICS.counter(name).add(n)
 
 
 def set_gauge(name: str, value: float) -> None:
     """Set a gauge — only while instrumentation is enabled."""
-    if TRACER.enabled:
+    if _enabled:
         METRICS.gauge(name).set(value)
 
 
@@ -125,17 +162,8 @@ def observe(
     name: str, value: float, bounds: Optional[Sequence[float]] = None
 ) -> None:
     """Record a histogram observation — only while enabled."""
-    if TRACER.enabled:
+    if _enabled:
         METRICS.histogram(name, bounds=bounds).observe(value)
-
-
-def span_stats(root: Span) -> Dict[str, Any]:
-    """Package a finished span tree as a result-attachable ``stats`` dict."""
-    return {
-        "wall_s": root.duration,
-        "spans": aggregate_spans(root),
-        "meta": dict(root.meta),
-    }
 
 
 __all__ = [
@@ -154,12 +182,8 @@ __all__ = [
     "MetricsHTTPServer",
     "MetricsRegistry",
     "SampleProvenance",
-    "Span",
-    "TRACER",
     "TelemetryExporter",
-    "Tracer",
     "add",
-    "aggregate_spans",
     "block_breakdown",
     "disable",
     "enable",
@@ -168,11 +192,9 @@ __all__ = [
     "observe_breakdown",
     "parse_exposition",
     "render_exposition",
-    "render_span_table",
     "reset",
     "set_gauge",
     "span",
-    "span_stats",
     "validate_breakdown",
     "validate_flight_dump",
 ]

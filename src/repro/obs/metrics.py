@@ -1,9 +1,11 @@
 """Process-wide metrics registry: counters, gauges, and histograms.
 
-Complements :mod:`repro.obs.trace`: spans say where time went, metrics say
-how much work was done — samples processed, alignment-matrix cells
-computed, DP paths tracked, candidate groups pre-screened vs. confirmed,
-TRRS peak-prominence distribution, per-block streaming latency.
+The one home of every measurement the program takes of itself: how much
+work was done (samples processed, alignment-matrix cells computed, DP
+paths tracked, candidate groups pre-screened vs. confirmed), the TRRS
+peak-prominence distribution, and where time went — each
+``obs.span(name)`` block observes its wall time into a ``span.<name>``
+latency histogram here.
 
 Design constraints:
 
@@ -189,8 +191,9 @@ class Histogram:
         if not self.count:
             return "n=0"
         return (
-            f"n={self.count} mean={self.mean:.4g} p50={self.percentile(0.5):.4g} "
-            f"p95={self.percentile(0.95):.4g} max={self.vmax:.4g}"
+            f"n={self.count} sum={self.total:.6g} mean={self.mean:.4g} "
+            f"p50={self.percentile(0.5):.4g} p95={self.percentile(0.95):.4g} "
+            f"max={self.vmax:.4g}"
         )
 
 

@@ -272,7 +272,6 @@ class BatchedBackend(KernelBackend):
         dtype = str(dtype)
         if dtype not in ("float64", "float32"):
             raise ValueError(f"unsupported kernel dtype {dtype!r}")
-        self.dtype_name = dtype
         self.dtype = np.dtype(np.float32 if dtype == "float32" else np.float64)
 
     def make_store(self, norm, max_lag):
@@ -314,13 +313,7 @@ class BatchedBackend(KernelBackend):
                         empty.astype(int), empty.astype(int), empty, empty, 0.0
                     )
                 continue
-            with obs.span(
-                "dp_tracking",
-                backend=self.name,
-                n_paths=len(idxs),
-                shape=(t, n_lags),
-                dtype=self.dtype_name,
-            ):
+            with obs.span("dp_tracking"):
                 obs.add("dp.paths_tracked", len(idxs))
                 obs.add("dp.cells", len(idxs) * t * n_lags)
                 e = np.empty((len(idxs), t, n_lags), dtype=self.dtype)
@@ -339,14 +332,7 @@ class BatchedBackend(KernelBackend):
         if not pairs:
             return []
         t, n_lags, w = store.t, store.n_lags, store.max_lag
-        with obs.span(
-            "alignment_matrix",
-            backend=self.name,
-            n_pairs=len(pairs),
-            shape=(t, n_lags),
-            virtual_window=virtual_window,
-            time_stride=time_stride,
-        ):
+        with obs.span("alignment_matrix"):
             rows = np.arange(0, t, time_stride) if time_stride > 1 else None
             fresh_cells = _compute_cells(store, pairs, rows)
             obs.add("alignment.matrices", len(pairs))

@@ -391,7 +391,7 @@ class ServeSession:
         if update.stats is not None:
             obs.observe(
                 _tagged("serve.block_latency_s", self.name),
-                float(update.stats.get("block_latency_s", 0.0)),
+                update.stats["block_latency_s"],
                 bounds=obs.LATENCY_BOUNDS_S,
             )
         self._updates.append(update)

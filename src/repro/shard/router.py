@@ -268,9 +268,16 @@ class ShardRouter:
 
         Call before a timed window so worker startup (interpreter spawn,
         numpy import) is excluded from throughput measurements.
+
+        Raises:
+            ShardError: A worker died before answering, or did not answer
+                within :data:`READY_TIMEOUT_S`.
         """
         for shard in self._alive():
-            self._request(shard, msg.MSG_PING, timeout=READY_TIMEOUT_S)
+            try:
+                self._request(shard, msg.MSG_PING, timeout=READY_TIMEOUT_S)
+            except _ShardDown as down:
+                raise ShardError(f"fleet never came up: {down}") from down
 
     def close(self) -> None:
         """Flush every session, stop every worker, release the pipes."""

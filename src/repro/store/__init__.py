@@ -16,7 +16,6 @@ record once and reprocess many times.  This package is that substrate:
 * :mod:`repro.store.checkpoint` — :class:`CheckpointedReplayer`:
   stop-at-chunk-*k*, resume-bit-identically replay on top of
   :class:`~repro.core.streaming.StreamingRim`.
-* :mod:`repro.store.convert` — one-way import of legacy ``.npz`` archives.
 
 See ``docs/storage.md`` for the format spec and guarantees.
 """
@@ -26,7 +25,6 @@ from repro.store.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.store.convert import npz_to_store
 from repro.store.format import (
     FORMAT_VERSION,
     HEADER_SIZE,
@@ -54,7 +52,6 @@ __all__ = [
     "TraceWriter",
     "chunk_filename",
     "load_checkpoint",
-    "npz_to_store",
     "save_checkpoint",
     "write_trace",
 ]

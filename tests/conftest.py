@@ -91,31 +91,3 @@ def hex_line_trace(fast_sampler, hexagon):
 
     traj = line_trajectory((10.0, 8.0), 30.0, 0.5, 1.6)
     return fast_sampler.sample(traj, hexagon)
-
-
-@pytest.fixture(scope="session")
-def write_legacy_npz():
-    """Writer of the legacy ``.npz`` trace layout that ``repro.io`` reads.
-
-    The program no longer writes this format; tests build archives in
-    the documented layout (format version 1) to check the one-way import.
-    """
-
-    def write(path, trace):
-        np.savez_compressed(
-            path,
-            format_version=np.int64(1),
-            data=trace.data,
-            times=trace.times,
-            tx_positions=trace.tx_positions,
-            carrier_wavelength=np.float64(trace.carrier_wavelength),
-            array_name=np.bytes_(trace.array.name.encode()),
-            array_positions=trace.array.local_positions,
-            array_nics=trace.array.nic_assignment,
-            array_circular=np.bool_(trace.array.circular),
-            traj_times=trace.trajectory.times,
-            traj_positions=trace.trajectory.positions,
-            traj_orientations=trace.trajectory.orientations,
-        )
-
-    return write

@@ -1,26 +1,26 @@
-"""Observability layer: tracer semantics, metrics registry, pipeline stats.
+"""Observability layer: stage timers, metrics registry, pipeline stats.
 
-Covers the PR-2 acceptance criteria:
+Covers:
 
-* spans nest correctly and aggregate sensibly;
-* a disabled tracer is a true no-op (no attributes, shared null context);
-* ``RimResult.stats`` / ``MotionUpdate.stats`` are attached on both the
-  batch and streaming paths, including the per-block latency histogram;
+* ``obs.span(name)`` observes each ``with`` block's wall time into the
+  ``span.<name>`` histogram of ``obs.METRICS``, with inclusive times
+  (an outer span covers its inner ones);
+* disabled instrumentation is a true no-op (a shared null context, an
+  empty registry);
+* the batch and streaming paths feed one ``span.*`` row per stage, and
+  ``MotionUpdate.stats`` carries only the block latency (plus provenance
+  when a context rode the block);
 * instrumentation never perturbs numerics — a traced run is bit-for-bit
   identical to an untraced run (tier-1 guard for every future obs change).
 """
 
 from __future__ import annotations
 
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
 from repro import Rim, RimConfig, StreamingRim, obs
 from repro.obs.metrics import Histogram, MetricsRegistry, bucket_percentile
-from repro.obs.trace import NULL_SPAN, Tracer, aggregate_spans, render_span_table
 
 
 @pytest.fixture(autouse=True)
@@ -33,87 +33,92 @@ def clean_obs_state():
     obs.reset()
 
 
-# -- tracer ---------------------------------------------------------------
+# -- stage timers ---------------------------------------------------------
+
+
+def _span(name: str) -> Histogram:
+    hist = obs.METRICS.get(f"span.{name}")
+    assert isinstance(hist, Histogram), f"no span.{name} histogram"
+    return hist
 
 
 def test_spans_nest_correctly():
-    tracer = Tracer(enabled=True)
-    with tracer.span("outer", shape=(4, 2)) as outer:
-        with tracer.span("inner_a") as inner_a:
-            assert tracer.current is inner_a
-        with tracer.span("inner_b"):
-            with tracer.span("leaf"):
+    """Span times are inclusive: an outer span covers its inner ones."""
+    obs.enable()
+    with obs.span("outer") as entered:
+        assert entered is None  # a timer, not a tree node
+        with obs.span("inner_a"):
+            pass
+        with obs.span("inner_b"):
+            with obs.span("leaf"):
                 pass
-        # The returned span is the one the tracer nests under: the root.
-        assert tracer.current is outer
-    assert tracer.current is None
-    root = outer
-    # One root: every span opened landed in its tree.
-    assert [s.name for s in root.walk()] == ["outer", "inner_a", "inner_b", "leaf"]
-    assert [c.name for c in root.children] == ["inner_a", "inner_b"]
-    assert [c.name for c in root.children[1].children] == ["leaf"]
-    # Wall time flows down the tree: the parent covers its children.
-    assert root.duration >= sum(c.duration for c in root.children)
-    assert root.self_seconds >= 0.0
-    assert root.meta == {"shape": (4, 2)}
+    outer, inner_a, inner_b, leaf = (
+        _span(n) for n in ("outer", "inner_a", "inner_b", "leaf")
+    )
+    for hist in (outer, inner_a, inner_b, leaf):
+        assert hist.count == 1
+        assert hist.bounds == obs.LATENCY_BOUNDS_S
+    assert outer.total >= inner_a.total + inner_b.total
+    assert inner_b.total >= leaf.total
 
 
 def test_span_aggregation_groups_by_name():
-    tracer = Tracer(enabled=True)
-    with tracer.span("root") as root:
-        for k in range(3):
-            with tracer.span("stage", k=k):
+    """Every call of one name lands in its one histogram, sum exact."""
+    obs.enable()
+    with obs.span("root"):
+        for _ in range(3):
+            with obs.span("stage"):
                 pass
-    agg = {a["name"]: a for a in aggregate_spans(root)}
-    assert agg["stage"]["calls"] == 3
-    assert agg["root"]["calls"] == 1
-    assert agg["stage"]["total_s"] <= agg["root"]["total_s"]
-    table = render_span_table(aggregate_spans(root))
-    assert "stage" in table and "calls" in table
+    stage, root = _span("stage"), _span("root")
+    assert stage.count == 3 and sum(stage.counts) == 3
+    assert root.count == 1
+    assert stage.total <= root.total
+    table = obs.METRICS.render_table()
+    assert f"sum={stage.total:.6g}" in table and "span.stage" in table
+
+
+def test_span_records_a_block_that_raises():
+    obs.enable()
+    with pytest.raises(ValueError):
+        with obs.span("failing"):
+            raise ValueError("stage failed")
+    assert _span("failing").count == 1
 
 
 def test_disabled_tracer_is_noop():
-    tracer = Tracer(enabled=False)
-    ctx = tracer.span("anything", big=list(range(10)))
-    assert ctx is NULL_SPAN  # shared singleton: no per-call allocation
-    with ctx as span:
-        assert span is None
-        assert tracer.current is None  # nothing pushed, so nothing kept
-    assert tracer.current is None
+    ctx = obs.span("anything")
+    assert ctx is obs.NULL_SPAN  # shared singleton: no per-call allocation
+    with ctx as entered:
+        assert entered is None
+    assert len(obs.METRICS) == 0
 
 
 def test_disabled_obs_records_nothing():
     obs.add("some.counter", 5)
     obs.observe("some.hist", 0.5)
     obs.set_gauge("some.gauge", 1.0)
+    with obs.span("nothing"):
+        pass
     assert len(obs.METRICS) == 0
-    with obs.span("nothing") as span:
-        assert span is None
-        assert obs.TRACER.current is None  # nothing pushed, so nothing kept
-    assert obs.TRACER.current is None
 
 
-def test_traced_process_keeps_no_span_tree_after_its_result(line_trace, monkeypatch):
-    """The tracer holds no finished span tree.
+def test_traced_process_keeps_no_span_tree_after_its_result(line_trace):
+    """Traced calls add observations, never metrics or per-call state.
 
     Every telemetry flag of the serving verbs turns tracing on for the
-    whole run, so a tree kept per ``Rim.process`` call would grow without
-    bound.  The root span must die with the call's result.
+    whole run, so anything kept per ``Rim.process`` call would grow
+    without bound: 50 traced calls must leave the registry the size one
+    call leaves it, with 50 observations in ``span.rim.process``.
     """
-    roots = []
-    span_stats = obs.span_stats
-
-    def keep_weakref(root):
-        roots.append(weakref.ref(root))
-        return span_stats(root)
-
-    monkeypatch.setattr(obs, "span_stats", keep_weakref)
     obs.enable()
-    result = Rim(RimConfig(max_lag=40)).process(line_trace)
-    assert result.stats["spans"] and len(roots) == 1
-    del result
-    gc.collect()
-    assert roots[0]() is None
+    rim = Rim(RimConfig(max_lag=40))
+    result = rim.process(line_trace)
+    assert not hasattr(result, "stats")
+    size = len(obs.METRICS)
+    for _ in range(49):
+        rim.process(line_trace)
+    assert len(obs.METRICS) == size
+    assert _span("rim.process").count == 50
 
 
 # -- metrics --------------------------------------------------------------
@@ -338,26 +343,37 @@ def test_registry_collectors_run_at_snapshot_time():
 
 # -- pipeline stats -------------------------------------------------------
 
-BATCH_STAGES = (
-    "rim.process",
+RIM_STAGES = (
+    "rim.guard",
     "rim.sanitize",
     "rim.movement_detect",
     "rim.pre_screen",
-    "alignment_matrix",
-    "dp_tracking",
+    "rim.track_groups",
+    "rim.rotation_detect",
     "rim.integrate",
 )
 
 
 def test_rim_result_stats_batch(line_trace):
-    cfg = RimConfig(max_lag=40)
+    """One traced ``Rim.process`` fills one ``span.rim.*`` row per stage."""
     obs.enable()
-    result = Rim(cfg).process(line_trace)
-    assert result.stats is not None
-    names = {s["name"] for s in result.stats["spans"]}
-    for stage in BATCH_STAGES:
-        assert stage in names, f"missing stage span {stage}"
-    assert result.stats["wall_s"] > 0.0
+    result = Rim(RimConfig(max_lag=40)).process(line_trace)
+    assert not hasattr(result, "stats")
+    snap = obs.METRICS.snapshot()
+    rim_spans = {
+        name[len("span."):]: rec
+        for name, rec in snap.items()
+        if name.startswith("span.rim.")
+    }
+    assert set(rim_spans) == {"rim.process", *RIM_STAGES}
+    for name, rec in rim_spans.items():
+        assert rec["type"] == "histogram" and rec["count"] == 1, name
+    # The stages run one after another inside the call.
+    stage_sum = sum(rim_spans[stage]["sum"] for stage in RIM_STAGES)
+    assert 0.0 < stage_sum <= rim_spans["rim.process"]["sum"]
+    # The kernels time themselves inside the stages.
+    assert snap["span.alignment_matrix"]["count"] > 0
+    assert snap["span.dp_tracking"]["count"] > 0
     assert obs.METRICS.counter("rim.samples_processed").value == line_trace.n_samples
     assert obs.METRICS.counter("alignment.matrices").value > 0
     assert obs.METRICS.counter("dp.paths_tracked").value > 0
@@ -367,7 +383,7 @@ def test_rim_result_stats_batch(line_trace):
 
 def test_rim_result_stats_absent_when_disabled(line_trace):
     result = Rim(RimConfig(max_lag=40)).process(line_trace)
-    assert result.stats is None
+    assert not hasattr(result, "stats")
     assert len(obs.METRICS) == 0
 
 
@@ -392,15 +408,20 @@ def test_streaming_stats_and_latency_histogram(line_trace):
 
     assert len(updates) >= 2
     for update in updates:
-        assert update.stats is not None
+        # No provenance context rode these samples, so only the latency.
+        assert set(update.stats) == {"block_latency_s"}
         assert update.stats["block_latency_s"] > 0.0
-        assert any(s["name"] == "stream.block" for s in update.stats["spans"])
-        # The batch pipeline's stage spans nest inside the block span.
-        assert any(s["name"] == "rim.process" for s in update.stats["spans"])
 
-    latency = obs.METRICS.get("stream.block_latency_s")
-    assert latency is not None
-    assert latency.count == len(updates)
+    block = _span("stream.block")
+    assert block.count == len(updates)
+    # The batch pipeline runs inside every block, and each update's
+    # latency brackets its block span.
+    process = _span("rim.process")
+    assert process.count == len(updates)
+    assert process.total <= block.total
+    assert block.total <= sum(u.stats["block_latency_s"] for u in updates)
+    assert "stream.block_latency_s" not in obs.METRICS
+    assert "stream.last_block_latency_s" not in obs.METRICS
     assert obs.METRICS.counter("stream.blocks").value == len(updates)
     assert (
         obs.METRICS.counter("stream.samples_emitted").value == line_trace.n_samples

@@ -300,6 +300,47 @@ class TestFleet:
             obs.disable()
             obs.reset()
 
+    def test_worker_stage_timings_reach_the_router(self, shard_traces):
+        """Worker ``span.*`` histograms fold into the router registry."""
+        obs.reset()
+        obs.enable()
+        try:
+            router = ShardRouter(2, rim_config=RIM_CFG, serve_config=SERVE_CFG)
+            try:
+                router.wait_ready()
+                for name, trace in shard_traces:
+                    router.create(
+                        name, trace.array, trace.sampling_rate,
+                        carrier_wavelength=trace.carrier_wavelength,
+                    )
+                for name, trace in shard_traces:
+                    for k in range(trace.n_samples):
+                        router.push(name, trace.data[k], float(trace.times[k]))
+                router.flush_all()
+                rows = router.stats()
+                router.refresh_metrics()
+            finally:
+                router.close()
+            updates = sum(int(row["updates"]) for row in rows)
+            assert {row["shard"] for row in rows} == {"shard-0", "shard-1"}
+            assert updates > 0
+            block = obs.METRICS.get("span.stream.block")
+            assert block is not None and block.count == updates
+            process = obs.METRICS.get("span.rim.process")
+            assert process is not None and 0 < process.count <= updates
+        finally:
+            obs.disable()
+            obs.reset()
+
+    def test_wait_ready_raises_shard_error_for_a_dead_worker(self):
+        router = ShardRouter(1, rim_config=RIM_CFG, serve_config=SERVE_CFG)
+        try:
+            router.kill_shard(0, failover=False)
+            with pytest.raises(ShardError, match="never came up"):
+                router.wait_ready()
+        finally:
+            router.close()
+
     def test_router_error_surface(self, shard_traces):
         name, trace = shard_traces[0]
         router = ShardRouter(2, rim_config=RIM_CFG, serve_config=SERVE_CFG)

@@ -4,8 +4,7 @@ The acceptance contract (ISSUE 5): a corrupted chunk under the ``repair``
 policy never crashes the pipeline and is visible in both
 ``HealthReport.repairs`` and the ``store.*`` metrics; every fault class
 (bit-flip payload, truncated tail, duplicated / missing sequence number)
-behaves per policy (raise / drop / repair).  The one-way import of legacy
-``.npz`` archives is tested with the CLI (``tests/test_io_cli.py``).
+behaves per policy (raise / drop / repair).
 """
 
 from __future__ import annotations
