@@ -133,6 +133,7 @@ class Rim:
         stream_cache=None,
         stream_offset: int = 0,
         presanitized: Optional[np.ndarray] = None,
+        nominal_rate: Optional[float] = None,
     ) -> RimResult:
         """Run the full RIM pipeline on a CSI trace.
 
@@ -161,6 +162,10 @@ class Rim:
                 loss interpolation pending — the same condition that
                 validates the cross-block TRRS cache); silently ignored
                 otherwise, so correctness never depends on it.
+            nominal_rate: Packet rate the guard judges clock drift
+                against; None takes the trace's own mean rate.  A stream
+                passes its nominal rate, because samples its block never
+                received lower the block's mean rate without any drift.
         """
         with obs.span("rim.process"):
             result = self._run_pipeline(
@@ -168,6 +173,7 @@ class Rim:
                 stream_cache=stream_cache,
                 stream_offset=stream_offset,
                 presanitized=presanitized,
+                nominal_rate=nominal_rate,
             )
         obs.add("rim.samples_processed", trace.n_samples)
         return result
@@ -178,6 +184,7 @@ class Rim:
         stream_cache=None,
         stream_offset: int = 0,
         presanitized: Optional[np.ndarray] = None,
+        nominal_rate: Optional[float] = None,
     ) -> RimResult:
         cfg = self.config
         guard_report = None
@@ -188,6 +195,7 @@ class Rim:
                     policy=cfg.guard_policy,
                     min_chain_liveness=cfg.guard_min_liveness,
                     max_clock_drift=cfg.guard_max_drift,
+                    nominal_rate=nominal_rate,
                 )
             repairs = guard_report.repairs()
             if repairs or guard_report.dead_chains:
@@ -217,8 +225,7 @@ class Rim:
         with obs.span("rim.sanitize"):
             if fused:
                 # Every sample was sanitized exactly once at ingest (and
-                # counted there in ``sanitize.samples``); the block pass
-                # only normalizes.
+                # counted there in ``sanitize.samples``).
                 data = presanitized
             else:
                 if cfg.interpolate_loss and cfg.interpolation_max_gap > 0:
@@ -230,25 +237,7 @@ class Rim:
                 if cfg.sanitize:
                     data = sanitize_trace(data)
                     obs.add("sanitize.samples", data.shape[0])
-            norm = normalize_csi(data)
         fs = trace.sampling_rate
-
-        # Per-trace kernel store; in streaming it is seeded with the
-        # previous block's TRRS rows when the retained samples are
-        # guaranteed unchanged (see _stream_cache_safe).
-        store = self._kernel.make_store(norm, cfg.max_lag)
-        cache_ok = False
-        if stream_cache is not None:
-            cache_ok = stream_safe
-            if cache_ok:
-                seeded_before = stream_cache.seeded_cells
-                self._kernel.seed_store(store, stream_cache, stream_offset)
-                obs.add(
-                    "stream.cache_seeded_cells",
-                    stream_cache.seeded_cells - seeded_before,
-                )
-            else:
-                stream_cache.clear()
 
         groups = parallel_groups(trace.array)
         groups = [
@@ -289,6 +278,26 @@ class Rim:
             return RimResult(
                 motion=motion, movement=movement, group_tracks=[], health=health
             )
+
+        # Only the alignment stages read the normalized CSI and the
+        # per-trace kernel store, so a still block builds neither.  In
+        # streaming the store is seeded with the previous block's TRRS
+        # rows when the retained samples are guaranteed unchanged (see
+        # _stream_cache_safe).
+        with obs.span("rim.normalize"):
+            store = self._kernel.make_store(normalize_csi(data), cfg.max_lag)
+        cache_ok = False
+        if stream_cache is not None:
+            cache_ok = stream_safe
+            if cache_ok:
+                seeded_before = stream_cache.seeded_cells
+                self._kernel.seed_store(store, stream_cache, stream_offset)
+                obs.add(
+                    "stream.cache_seeded_cells",
+                    stream_cache.seeded_cells - seeded_before,
+                )
+            else:
+                stream_cache.clear()
 
         with obs.span("rim.pre_screen"):
             candidates = self._pre_detect(store, groups, moving, fs)

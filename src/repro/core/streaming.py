@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -114,24 +114,31 @@ class StreamingRim:
         self._align_cache = (
             StreamAlignmentCache() if self.config.stream_reuse else None
         )
-        self._buffer_offset = 0  # global stream index of self._packets[0]
+        self._buffer_offset = 0  # global stream index of window row 0
         # Packet-level guard: the block buffer must stay strictly monotonic
         # (a non-monotonic dt corrupts block distance), so duplicates and
         # late packets are rejected at the door rather than mid-block.
         self._guard = StreamGuard(policy=self.config.guard_policy)
-        self._packets: List[np.ndarray] = []
+        # The retained window (context + pending samples) lives in arrays
+        # allocated on the first packet, once its shape is known: rows
+        # [0, _n) of _raw hold the admitted packets as complex64, the
+        # dtype the block path feeds CsiTrace, and _times their stamps.
+        # A block reads them as views and trims them with one in-place
+        # move, so nothing is re-stacked per block.
+        self._raw = _NO_ROWS
+        self._times = np.empty(0)
+        self._n = 0
         # Ingest-fused sanitize: phase sanitization is per-sample, so each
         # admitted packet is sanitized exactly once on arrival instead of
         # once per block it appears in (a context-window sample is
-        # reprocessed by every block that retains it).  _sanitized is
-        # parallel to _packets and trimmed identically; the estimator
+        # reprocessed by every block that retains it).  _clean is
+        # parallel to _raw and trimmed identically; the estimator
         # falls back to its own sanitize pass whenever the fused view
         # cannot be trusted (guard repairs, pending loss interpolation).
         self._fuse_sanitize = bool(self.config.sanitize)
-        self._sanitized: List[np.ndarray] = []
-        self._times: List[float] = []
-        # Parallel to _packets: the provenance context each admitted sample
-        # arrived with (None when tracing is off) — trimmed identically.
+        self._clean = _NO_ROWS
+        # Parallel to the window: the provenance context each admitted
+        # sample arrived with (None when tracing is off) — trimmed identically.
         self._prov: List[Optional[SampleProvenance]] = []
         self._pending_start = 0  # buffer index where unreported samples begin
         self._total_distance = 0.0
@@ -148,12 +155,12 @@ class StreamingRim:
 
     @property
     def buffered_samples(self) -> int:
-        return len(self._packets)
+        return self._n
 
     @property
     def pending_samples(self) -> int:
         """Admitted samples not yet covered by an emitted update."""
-        return len(self._packets) - self._pending_start
+        return self._n - self._pending_start
 
     @property
     def blocks_emitted(self) -> int:
@@ -195,27 +202,35 @@ class StreamingRim:
                 f"packet must be (n_rx={self.array.n_antennas}, n_tx, S), "
                 f"got {packet.shape}"
             )
+        if len(self._raw) and packet.shape != self._raw.shape[1:]:
+            raise ValueError(
+                f"packet shape {packet.shape} differs from the stream's "
+                f"{self._raw.shape[1:]}"
+            )
         if timestamp is None:
             timestamp = self._n_pushed / self.sampling_rate
         admitted = self._guard.admit(packet, float(timestamp))
         if admitted is None:
             return None
         packet, timestamp = admitted
-        self._packets.append(packet)
+        n = self._n
+        if n == len(self._raw):
+            self._reserve(packet.shape, n + 1)
+        self._raw[n] = packet
         if self._fuse_sanitize:
-            self._sanitized.append(self._sanitize_packet(packet))
-        self._times.append(timestamp)
+            self._clean[n] = self._sanitize_packet(packet)
+        self._times[n] = timestamp
+        self._n = n + 1
         self._prov.append(provenance if obs.enabled() else None)
         self._n_pushed += 1
 
-        pending = len(self._packets) - self._pending_start
-        if pending >= self.block_samples:
+        if self._n - self._pending_start >= self.block_samples:
             return self._emit_block()
         return None
 
     def flush(self):
         """Process whatever remains in the buffer (end of stream)."""
-        if len(self._packets) - self._pending_start == 0:
+        if self._n - self._pending_start == 0:
             return None
         return self._emit_block(final=True)
 
@@ -233,21 +248,14 @@ class StreamingRim:
         with) complete the picture.  Arrays are copied; the snapshot
         stays valid as the stream moves on.
         """
-        packets = (
-            np.stack(self._packets, axis=0).astype(np.complex64)
-            if self._packets
-            else None
-        )
-        sanitized = (
-            np.stack(self._sanitized, axis=0)
-            if self._fuse_sanitize and self._sanitized
-            else None
-        )
+        n = self._n
+        packets = self._raw[:n].copy() if n else None
+        sanitized = self._clean[:n].copy() if self._fuse_sanitize and n else None
         return {
             "version": 1,
             "packets": packets,
             "sanitized": sanitized,
-            "times": np.asarray(self._times, dtype=np.float64),
+            "times": self._times[:n].copy(),
             "pending_start": int(self._pending_start),
             "buffer_offset": int(self._buffer_offset),
             "total_distance": float(self._total_distance),
@@ -281,50 +289,42 @@ class StreamingRim:
                 "(this build reads version 1)"
             )
         packets = state["packets"]
-        if packets is None:
-            restored: List[np.ndarray] = []
-        else:
+        n = 0
+        if packets is not None:
             packets = np.asarray(packets)
             if packets.ndim != 4 or packets.shape[1] != self.array.n_antennas:
                 raise ValueError(
                     f"checkpoint buffer shape {packets.shape} does not match "
                     f"an (n, n_rx={self.array.n_antennas}, n_tx, S) stream"
                 )
-            restored = [
-                packets[k].astype(np.complex64) for k in range(packets.shape[0])
-            ]
+            n = packets.shape[0]
         times = np.asarray(state["times"], dtype=np.float64)
-        if times.shape != (len(restored),):
+        if times.shape != (n,):
             raise ValueError(
-                f"checkpoint holds {len(restored)} packets but "
-                f"{times.size} timestamps"
+                f"checkpoint holds {n} packets but {times.size} timestamps"
             )
-        self._packets = restored
-        # Restore the ingest-sanitized cache when the checkpoint carries a
-        # matching one; otherwise (older checkpoint, sanitize toggled on
-        # after the snapshot) recompute it — sanitization is per-sample,
-        # so the rebuilt cache is bit-identical to an uninterrupted stream.
-        if self._fuse_sanitize:
-            sanitized = state.get("sanitized")
-            usable = (
-                restored
-                and sanitized is not None
-                and np.asarray(sanitized).shape
-                == (len(restored), *restored[0].shape)
-            )
-            if usable:
-                sanitized = np.asarray(sanitized)
-                self._sanitized = [
-                    sanitized[k].astype(np.complex64) for k in range(len(restored))
-                ]
-            else:
-                self._sanitized = [self._sanitize_packet(p) for p in restored]
-        else:
-            self._sanitized = []
-        self._times = [float(t) for t in times]
+        self._raw = self._clean = _NO_ROWS
+        self._n = 0
+        if n:
+            self._reserve(packets.shape[1:], n)
+            self._raw[:n] = packets
+            self._times[:n] = times
+            # Restore the ingest-sanitized window when the checkpoint
+            # carries a matching one; otherwise (older checkpoint, sanitize
+            # toggled on after the snapshot) recompute it — sanitization is
+            # per-sample, so the rebuilt rows are bit-identical to an
+            # uninterrupted stream's.
+            if self._fuse_sanitize:
+                sanitized = state.get("sanitized")
+                if sanitized is not None and np.shape(sanitized) == packets.shape:
+                    self._clean[:n] = sanitized
+                else:
+                    for k in range(n):
+                        self._clean[k] = self._sanitize_packet(self._raw[k])
+            self._n = n
         # Provenance contexts are transient (live latency only) and are
         # deliberately not checkpointed; restored samples carry none.
-        self._prov = [None] * len(restored)
+        self._prov = [None] * n
         self._pending_start = int(state["pending_start"])
         self._buffer_offset = int(state["buffer_offset"])
         self._total_distance = float(state["total_distance"])
@@ -351,9 +351,8 @@ class StreamingRim:
         replay can reuse this object without leaking state (previously
         only reachable by rebuilding it).
         """
-        self._packets = []
-        self._sanitized = []
-        self._times = []
+        self._raw = self._clean = _NO_ROWS
+        self._n = 0
         self._prov = []
         self._pending_start = 0
         self._buffer_offset = 0
@@ -368,6 +367,25 @@ class StreamingRim:
             self._align_cache.reset()
 
     # -- internals ---------------------------------------------------------
+
+    def _reserve(self, shape: Tuple[int, ...], rows: int) -> None:
+        """(Re)allocate the window for ``rows`` samples, keeping its rows.
+
+        A block trims the window to ``context_samples`` and fires once
+        ``block_samples`` more arrive, so the first allocation is the
+        last one; only a checkpoint cut with another block length or
+        context can outgrow it, and then the window doubles.
+        """
+        rows = max(rows, self.context_samples + self.block_samples, 2 * self._n)
+        raw = np.empty((rows, *shape), dtype=np.complex64)
+        clean = np.empty_like(raw) if self._fuse_sanitize else _NO_ROWS
+        times = np.empty(rows)
+        n = self._n
+        if n:
+            raw[:n] = self._raw[:n]
+            clean[:n] = self._clean[:n]
+            times[:n] = self._times[:n]
+        self._raw, self._clean, self._times = raw, clean, times
 
     def _sanitize_packet(self, packet: np.ndarray) -> np.ndarray:
         """Sanitize one admitted packet at ingest (fused-sanitize path).
@@ -431,9 +449,9 @@ class StreamingRim:
         return update
 
     def _process_block(self, final: bool = False) -> MotionUpdate:
-        data = np.stack(self._packets, axis=0)
-        times = np.asarray(self._times)
-        t = data.shape[0]
+        t = self._n
+        data = self._raw[:t]
+        times = self._times[:t].copy()
         start_new = self._pending_start
         if t < 2:
             # Rim.process needs two samples to define a sampling rate, and
@@ -460,7 +478,7 @@ class StreamingRim:
             self._align_cache.clear()
 
         trace = CsiTrace(
-            data=data.astype(np.complex64),
+            data=data,
             times=times,
             array=self.array,
             trajectory=_placeholder_trajectory(times),
@@ -469,16 +487,14 @@ class StreamingRim:
         )
         # Clock resampling rewrites timestamps only — the CSI samples are
         # untouched — so the ingest-sanitized view stays valid across it.
-        presanitized = (
-            np.stack(self._sanitized, axis=0)
-            if self._fuse_sanitize and len(self._sanitized) == t
-            else None
-        )
+        # The block guard judges drift against the nominal rate: the
+        # block's own mean rate reads undelivered samples as drift.
         result = self._rim.process(
             trace,
             stream_cache=self._align_cache,
             stream_offset=self._buffer_offset,
-            presanitized=presanitized,
+            presanitized=self._clean[:t] if self._fuse_sanitize else None,
+            nominal_rate=self.sampling_rate,
         )
 
         motion = result.motion
@@ -519,22 +535,25 @@ class StreamingRim:
             health=health,
         )
 
-        # Trim the buffer down to the context window.
+        # Trim the window down to the context: one in-place move per
+        # array (NumPy copies overlapping slices as if through a buffer).
         keep_from = max(0, t - self.context_samples)
-        self._packets = self._packets[keep_from:]
-        self._sanitized = self._sanitized[keep_from:]
-        self._times = self._times[keep_from:]
-        self._prov = self._prov[keep_from:]
-        self._pending_start = t - keep_from
+        self._n = t - keep_from
+        if keep_from:
+            for window in (self._raw, self._clean, self._times):
+                if len(window):
+                    window[: self._n] = window[keep_from:t]
+            self._prov = self._prov[keep_from:]
+        self._pending_start = self._n
         self._buffer_offset += keep_from
         return update
 
     def _repair_clock(self, times: np.ndarray):
         """Snap drifted timestamps onto the nominal sampling grid.
 
-        The batch guard cannot see the nominal rate from inside a block
-        (the placeholder trajectory's clock IS the drifted clock), so the
-        stream wrapper — which knows ``sampling_rate`` — checks drift here.
+        The block guard checks drift against the same nominal rate, but
+        only the stream wrapper can rewrite the timestamps it integrates
+        and emits, so it repairs the clock here, before the block runs.
         """
         cfg = self.config
         if cfg.guard_policy == "off" or times.size < 2:
@@ -557,6 +576,11 @@ class StreamingRim:
             self._clock_resamples,
         )
         return times[0] + np.arange(times.size) / self.sampling_rate, True
+
+
+# The window before its first packet, and _clean while fused sanitize is
+# off: zero rows, never written.
+_NO_ROWS = np.empty((0, 0, 0, 0), dtype=np.complex64)
 
 
 def _placeholder_trajectory(times: np.ndarray) -> Trajectory:

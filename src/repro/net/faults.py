@@ -32,9 +32,19 @@ Fault classes (all independent per sample, except reordering):
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, List, NamedTuple, Tuple
 
 import numpy as np
+
+
+class SampleFaults(NamedTuple):
+    """Every fault decision a :class:`NetFaultPlan` makes for one seq."""
+
+    drop: bool
+    duplicate: bool
+    corrupt: bool
+    delay: bool
+    swap: bool  # delivered after its successor (decided at even seqs only)
 
 
 @dataclass(frozen=True)
@@ -95,32 +105,43 @@ class NetFaultPlan:
 
     # -- per-sample decisions ----------------------------------------------
 
-    def _draws(self, seq: int) -> np.ndarray:
-        """Five uniform draws for sample ``seq`` (drop, dup, corrupt,
-        delay, reorder), stable across processes and resends."""
+    def decisions(self, seq: int) -> SampleFaults:
+        """All five decisions for sample ``seq``, stable across processes
+        and resends.
+
+        They come from five uniform draws (drop, dup, corrupt, delay,
+        reorder) of one generator seeded with ``(seed, seq)``.  Building
+        that generator is what a decision costs, so callers that need
+        several decisions for one seq take them all from one call.
+        """
         rng = np.random.default_rng((0x52494D4E, self.seed, seq))
-        return rng.uniform(size=5)
+        drop, dup, corrupt, delay, reorder = rng.uniform(size=5).tolist()
+        return SampleFaults(
+            drop=drop < self.drop_fraction,
+            duplicate=dup < self.duplicate_fraction,
+            corrupt=corrupt < self.corrupt_fraction,
+            delay=delay < self.delay_fraction,
+            swap=seq % 2 == 0 and reorder < self.reorder_fraction,
+        )
 
     def drops(self, seq: int) -> bool:
-        return bool(self._draws(seq)[0] < self.drop_fraction)
+        return self.decisions(seq).drop
 
     def duplicates(self, seq: int) -> bool:
-        return bool(self._draws(seq)[1] < self.duplicate_fraction)
+        return self.decisions(seq).duplicate
 
     def corrupts(self, seq: int) -> bool:
-        return bool(self._draws(seq)[2] < self.corrupt_fraction)
+        return self.decisions(seq).corrupt
 
     def delays(self, seq: int) -> bool:
-        return bool(self._draws(seq)[3] < self.delay_fraction)
+        return self.decisions(seq).delay
 
     def swaps_with_next(self, seq: int) -> bool:
         """True when samples ``seq`` and ``seq+1`` are delivered swapped.
 
         Decided only at even seqs, so swaps are disjoint by construction.
         """
-        if seq % 2 != 0:
-            return False
-        return bool(self._draws(seq)[4] < self.reorder_fraction)
+        return self.decisions(seq).swap
 
     def corrupt_bytes(self, seq: int, frame: bytes) -> bytes:
         """Flip one payload byte of an encoded frame (header left intact
@@ -144,10 +165,9 @@ class NetFaultPlan:
         deterministic); everything else — duplicated, reordered, delayed,
         interrupted by a disconnect — is delivered eventually.
         """
+        faults = map(self.decisions, range(n))
         return frozenset(
-            seq
-            for seq in range(n)
-            if not (self.drops(seq) or self.corrupts(seq))
+            seq for seq, f in enumerate(faults) if not (f.drop or f.corrupt)
         )
 
     def expected_repairs(self, n: int) -> dict:
@@ -158,19 +178,15 @@ class NetFaultPlan:
         undeliverable seq below the delivered high-water mark must
         eventually be skipped.
         """
-        delivered = self.delivered_seqs(n)
-        high = max(delivered) if delivered else -1
-        gaps = sum(1 for seq in range(high + 1) if seq not in delivered)
-        corrupted = sum(1 for seq in range(n) if self.corrupts(seq))
-        duplicated = sum(
-            1
-            for seq in range(n)
-            if seq in delivered and self.duplicates(seq)
-        )
+        faults = [self.decisions(seq) for seq in range(n)]
+        delivered = [not (f.drop or f.corrupt) for f in faults]
+        high = max((seq for seq in range(n) if delivered[seq]), default=-1)
         return {
-            "net_crc_dropped": corrupted,
-            "net_gap_samples": gaps,
-            "net_duplicate_dropped": duplicated,
+            "net_crc_dropped": sum(f.corrupt for f in faults),
+            "net_gap_samples": delivered[: high + 1].count(False),
+            "net_duplicate_dropped": sum(
+                f.duplicate for f, ok in zip(faults, delivered) if ok
+            ),
         }
 
     # -- parsing -----------------------------------------------------------
@@ -228,7 +244,8 @@ class WireFaultInjector:
 
     def __init__(self, plan: NetFaultPlan):
         self.plan = plan
-        self._held: "Tuple[int, bytes] | None" = None  # (seq, frame) awaiting swap
+        # (decisions, frame) of an even seq held back for its swap.
+        self._held: "Tuple[SampleFaults, bytes] | None" = None
         self._sent_data = 0
         self._disconnected_once = False
         self.n_dropped = 0
@@ -246,22 +263,23 @@ class WireFaultInjector:
         plan = self.plan
         if plan.is_clean:
             return [(frame, 0.0)]
+        faults = plan.decisions(seq)
         out: List[Tuple[bytes, float]] = []
 
-        if plan.drops(seq):
+        if faults.drop:
             self.n_dropped += 1
             frame = b""
-        elif plan.corrupts(seq):
+        elif faults.corrupt:
             self.n_corrupted += 1
             frame = plan.corrupt_bytes(seq, frame)
 
-        delay = plan.delay_s if (frame and plan.delays(seq)) else 0.0
+        delay = plan.delay_s if (frame and faults.delay) else 0.0
         if delay:
             self.n_delayed += 1
 
         if self._held is not None:
             # ``seq`` is the successor of the held frame: emit swapped.
-            held_seq, held_frame = self._held
+            held_faults, held_frame = self._held
             self._held = None
             if frame:
                 out.append((frame, delay))
@@ -269,21 +287,21 @@ class WireFaultInjector:
                 out.append((held_frame, 0.0))
             if frame and held_frame:
                 self.n_reordered += 1
-            if frame and plan.duplicates(seq):
+            if frame and faults.duplicate:
                 self.n_duplicated += 1
                 out.append((frame, 0.0))
-            if held_frame and plan.duplicates(held_seq):
+            if held_frame and held_faults.duplicate:
                 self.n_duplicated += 1
                 out.append((held_frame, 0.0))
             return out
 
-        if plan.swaps_with_next(seq):
-            self._held = (seq, frame)
+        if faults.swap:
+            self._held = (faults, frame)
             return []
 
         if frame:
             out.append((frame, delay))
-            if plan.duplicates(seq):
+            if faults.duplicate:
                 self.n_duplicated += 1
                 out.append((frame, 0.0))
         return out
@@ -292,12 +310,12 @@ class WireFaultInjector:
         """Release a swap held at end-of-stream (no successor is coming)."""
         if self._held is None:
             return []
-        held_seq, held_frame = self._held
+        held_faults, held_frame = self._held
         self._held = None
         if not held_frame:
             return []
         out = [(held_frame, 0.0)]
-        if self.plan.duplicates(held_seq):
+        if held_faults.duplicate:
             self.n_duplicated += 1
             out.append((held_frame, 0.0))
         return out

@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.channel.sampler import CsiTrace
 from repro.core.config import RimConfig
 from repro.core.streaming import MotionUpdate
@@ -82,25 +83,32 @@ def baseline_updates(
     With a fault plan, only :meth:`NetFaultPlan.delivered_seqs` survive
     (drops and corruption are terminal; duplicates and reordering are
     repaired by the server); without one, every sample is pushed.
+
+    The replay is not served traffic, so it runs with :mod:`repro.obs`
+    off: a served session of the same name keeps its telemetry to
+    itself, and the previous obs state is restored afterwards.
     """
-    manager = SessionManager(rim_config=rim_config, serve_config=serve_config)
-    manager.create(
-        name,
-        trace.array,
-        trace.sampling_rate,
-        carrier_wavelength=trace.carrier_wavelength,
-    )
     n = trace.n_samples
     delivered = (
         fault_plan.delivered_seqs(n) if fault_plan is not None else range(n)
     )
-    updates: List[MotionUpdate] = []
-    for seq in range(n):
-        if seq in delivered:
-            manager.push(name, trace.data[seq], float(trace.times[seq]))
-    updates.extend(manager.poll(name))
-    updates.extend(manager.evict(name))
-    return updates
+    was_enabled = obs.enabled()
+    obs.disable()
+    try:
+        manager = SessionManager(rim_config=rim_config, serve_config=serve_config)
+        manager.create(
+            name,
+            trace.array,
+            trace.sampling_rate,
+            carrier_wavelength=trace.carrier_wavelength,
+        )
+        for seq in range(n):
+            if seq in delivered:
+                manager.push(name, trace.data[seq], float(trace.times[seq]))
+        return manager.poll(name) + manager.evict(name)
+    finally:
+        if was_enabled:
+            obs.enable()
 
 
 def run_net_load(

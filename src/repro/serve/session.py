@@ -266,9 +266,7 @@ class ServeSession:
         """Drain the queue and hand back every update since the last poll."""
         self.last_activity = self._clock()
         self.drain()
-        out = self._updates
-        self._updates = []
-        return out
+        return self._hand_over()
 
     def flush(self) -> List[MotionUpdate]:
         """End of stream: drain, flush the estimator, return all updates.
@@ -282,9 +280,7 @@ class ServeSession:
             self._absorb(final)
         if self.recorder is not None:
             self.recorder.close()
-        out = self._updates
-        self._updates = []
-        return out
+        return self._hand_over()
 
     def adopt(
         self,
@@ -356,6 +352,28 @@ class ServeSession:
 
     # -- internals ----------------------------------------------------------
 
+    def _hand_over(self) -> List[MotionUpdate]:
+        """The updates since the last hand-over, carrying every repair
+        noted before it.
+
+        A repair noted after the newest of them was emitted rides on it:
+        a shard worker emits blocks between requests, so a repair the
+        producer noted before polling can arrive after its block.
+        """
+        out, self._updates = self._updates, []
+        if out:
+            self._fold_repairs(out[-1])
+        return out
+
+    def _fold_repairs(self, update: MotionUpdate) -> None:
+        if update.health is None or not self._pending_repairs:
+            return
+        merged = dict(update.health.repairs)
+        for key, value in self._pending_repairs.items():
+            merged[key] = merged.get(key, 0) + value
+        update.health.repairs = merged
+        self._pending_repairs = {}
+
     def _tally(self, key: str, n: int = 1) -> None:
         self._pending_repairs[key] = self._pending_repairs.get(key, 0) + n
         obs.add(_tagged("serve.repairs", self.name), n)
@@ -366,28 +384,22 @@ class ServeSession:
     def _absorb(self, update: MotionUpdate) -> None:
         """Fold serving-side telemetry into an estimator update."""
         self.n_updates += 1
-        if update.health is not None:
-            if self._pending_repairs:
-                merged = dict(update.health.repairs)
-                for key, value in self._pending_repairs.items():
-                    merged[key] = merged.get(key, 0) + value
-                update.health.repairs = merged
-                self._pending_repairs = {}
-            if update.health.degraded:
-                self.degraded_blocks += 1
-                FLIGHT.record(
-                    "guard_escalation",
-                    "serve",
-                    session=self.name,
-                    degraded_blocks=self.degraded_blocks,
-                    repairs=dict(update.health.repairs),
-                )
-                if not self._degrade_dumped:
-                    # One artifact per session: the first escalation is
-                    # the interesting one, a flapping guard must not
-                    # spray dump files.
-                    self._degrade_dumped = True
-                    FLIGHT.auto_dump(f"guard-escalation-{self.name}")
+        self._fold_repairs(update)
+        if update.health is not None and update.health.degraded:
+            self.degraded_blocks += 1
+            FLIGHT.record(
+                "guard_escalation",
+                "serve",
+                session=self.name,
+                degraded_blocks=self.degraded_blocks,
+                repairs=dict(update.health.repairs),
+            )
+            if not self._degrade_dumped:
+                # One artifact per session: the first escalation is the
+                # interesting one, a flapping guard must not spray dump
+                # files.
+                self._degrade_dumped = True
+                FLIGHT.auto_dump(f"guard-escalation-{self.name}")
         if update.stats is not None:
             obs.observe(
                 _tagged("serve.block_latency_s", self.name),

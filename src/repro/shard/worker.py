@@ -7,6 +7,12 @@ private GIL, and a private :mod:`repro.obs` registry — and services one
 request at a time off its pipe in FIFO order, so a round-trip's reply is
 always the next record the router reads.
 
+Between requests the worker ingests: whenever the pipe holds no request,
+it feeds the oldest backlogged session's queued packets to its
+estimator.  A POLL then mostly collects a block already computed, and
+the ingest queue and its backpressure policy act only while the worker
+is busy.
+
 Two request families matter beyond plain session plumbing:
 
 * **SYNC** drains every session recorder's in-memory tail to disk as a
@@ -27,9 +33,10 @@ from __future__ import annotations
 import logging
 import signal
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Set
 
 from repro import obs
 from repro.core.config import RimConfig
@@ -46,6 +53,9 @@ logger = logging.getLogger(__name__)
 # Short chunks bound what a SIGKILL can lose between syncs to < 1 s of
 # tail at typical CSI rates, at a small file-count cost.
 SHARD_CHUNK_SAMPLES = 64
+
+# Requests that drain a session: they report a failure of its idle ingest.
+_DRAINING = (msg.MSG_POLL, msg.MSG_FLUSH, msg.MSG_EVICT)
 
 
 @dataclass
@@ -104,11 +114,20 @@ class _ShardWorker:
             record_chunk_samples=SHARD_CHUNK_SAMPLES,
         )
         self._flushed: Dict[str, bool] = {}
+        # Sessions holding queued packets, oldest first, each listed once.
+        self._backlog: Deque[str] = deque()
+        self._backlogged: Set[str] = set()
+        # Idle ingest has no request to answer: a failure waits for the
+        # session's next draining request, which a drain there would fail.
+        self._ingest_errors: Dict[str, Exception] = {}
 
     # -- loop ---------------------------------------------------------------
 
     def serve_forever(self) -> None:
         while True:
+            if self._backlog and not self.conn.poll():
+                self._ingest_idle()
+                continue
             try:
                 raw = self.conn.recv_bytes()
             except (EOFError, OSError):
@@ -166,7 +185,23 @@ class _ShardWorker:
             raise msg.ShardProtocolError(
                 f"unexpected request {msg.msg_name(request.msg_type)}"
             )
+        if request.msg_type in _DRAINING and request.name in self._ingest_errors:
+            raise self._ingest_errors.pop(request.name)
         handler(request)
+
+    def _ingest_idle(self) -> None:
+        """Feed the oldest backlogged session's queue to its estimator."""
+        name = self._backlog.popleft()
+        self._backlogged.discard(name)
+        try:
+            session = self.manager.get(name)
+        except KeyError:  # evicted since its packets arrived
+            return
+        try:
+            session.drain()
+        except Exception as exc:
+            logger.exception("%s: ingest of %r failed", self.init.shard_name, name)
+            self._ingest_errors.setdefault(name, exc)
 
     # -- handlers -----------------------------------------------------------
 
@@ -190,6 +225,9 @@ class _ShardWorker:
     def _handle_data(self, request: msg.ShardMessage) -> None:
         timestamp, packet = msg.unpack_data(request.payload)
         self.manager.push(request.name, packet, timestamp)
+        if request.name not in self._backlogged:
+            self._backlogged.add(request.name)
+            self._backlog.append(request.name)
 
     def _handle_poll(self, request: msg.ShardMessage) -> None:
         updates = self.manager.poll(request.name)

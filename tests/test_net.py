@@ -265,6 +265,31 @@ class TestNetFaultPlan:
         again = NetFaultPlan(seed=3, drop_fraction=0.3, corrupt_fraction=0.2)
         assert plan.delivered_seqs(200) == again.delivered_seqs(200)
 
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_one_draw_per_seq_keeps_every_decision(self, seed):
+        """Each seq's decisions and ``delivered_seqs`` are those of five
+        uniforms from one generator seeded ``(0x52494D4E, seed, seq)``."""
+        plan = NetFaultPlan(
+            seed=seed, drop_fraction=0.1, duplicate_fraction=0.2,
+            reorder_fraction=0.3, corrupt_fraction=0.05, delay_fraction=0.15,
+        )
+        delivered = set()
+        for seq in range(5000):
+            u = np.random.default_rng((0x52494D4E, seed, seq)).uniform(size=5)
+            want = (
+                bool(u[0] < 0.1), bool(u[1] < 0.2), bool(u[2] < 0.05),
+                bool(u[3] < 0.15), seq % 2 == 0 and bool(u[4] < 0.3),
+            )
+            assert tuple(plan.decisions(seq)) == want, seq
+            if seq < 500:
+                assert (
+                    plan.drops(seq), plan.duplicates(seq), plan.corrupts(seq),
+                    plan.delays(seq), plan.swaps_with_next(seq),
+                ) == want, seq
+            if not (want[0] or want[2]):
+                delivered.add(seq)
+        assert plan.delivered_seqs(5000) == delivered
+
     def test_swaps_only_even(self):
         plan = NetFaultPlan(reorder_fraction=1.0)
         assert all(plan.swaps_with_next(seq) for seq in range(0, 10, 2))

@@ -347,6 +347,7 @@ RIM_STAGES = (
     "rim.guard",
     "rim.sanitize",
     "rim.movement_detect",
+    "rim.normalize",
     "rim.pre_screen",
     "rim.track_groups",
     "rim.rotation_detect",

@@ -18,6 +18,7 @@ Locks down the PR-9 acceptance criteria:
 from __future__ import annotations
 
 import importlib.util
+import time
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,91 @@ class TestFleet:
                 assert shard_stats[name][key] == single_stats[name][key], (
                     name, key
                 )
+
+    def test_worker_ingests_between_requests(self, fast_sampler, three_antenna):
+        """Queued packets reach the estimator while the worker is idle,
+        so a block completes with no POLL to drain it."""
+        trace = fast_sampler.sample(
+            line_trajectory((10.0, 8.0), 0.0, 0.5, 1.3), three_antenna
+        )
+        n_push = 250
+        assert trace.n_samples >= n_push
+        serve = ServeConfig(block_seconds=1.0)
+        assert n_push < serve.queue_capacity  # no backpressure drain either
+        router = ShardRouter(2, rim_config=RIM_CFG, serve_config=serve)
+        try:
+            router.wait_ready()
+            router.create(
+                "rx-idle", trace.array, trace.sampling_rate,
+                carrier_wavelength=trace.carrier_wavelength,
+            )
+            for k in range(n_push):
+                router.push("rx-idle", trace.data[k], float(trace.times[k]))
+            deadline = time.monotonic() + 10.0
+            while True:
+                (row,) = router.stats()
+                if row["processed"] == row["offered"] or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+        finally:
+            router.close()
+        assert row["offered"] == n_push
+        assert row["processed"] == n_push
+        assert row["queued"] == 0
+        assert row["updates"] == 1  # the first 1 s block, computed unpolled
+
+    def test_repairs_noted_after_an_unpolled_block_are_delivered(
+        self, shard_traces
+    ):
+        """A repair noted before a flush reaches the flushed updates even
+        when the worker emitted their block before the note arrived."""
+        name, trace = shard_traces[0]
+        router = ShardRouter(1, rim_config=RIM_CFG, serve_config=SERVE_CFG)
+        try:
+            router.wait_ready()
+            router.create(
+                name, trace.array, trace.sampling_rate,
+                carrier_wavelength=trace.carrier_wavelength,
+            )
+            block = int(round(SERVE_CFG.block_seconds * trace.sampling_rate))
+            for k in range(2 * block):  # two whole blocks, nothing pending
+                router.push(name, trace.data[k], float(trace.times[k]))
+            deadline = time.monotonic() + 10.0
+            while router.stats()[0]["updates"] < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert router.stats()[0]["updates"] == 2
+            router.note_repair(name, "net_gap_samples", 3)
+            updates = router.flush(name)
+        finally:
+            router.close()
+        assert len(updates) == 2
+        assert sum(
+            u.health.repairs.get("net_gap_samples", 0) for u in updates
+        ) == 3
+
+    def test_idle_ingest_failure_fails_the_next_poll(self, shard_traces):
+        """A packet the estimator refuses between requests fails the
+        session's next poll, as a drain at that poll would have."""
+        name, trace = shard_traces[0]
+        strict = RimConfig(max_lag=50, guard_policy="raise")
+        router = ShardRouter(1, rim_config=strict, serve_config=SERVE_CFG)
+        try:
+            router.wait_ready()
+            router.create(
+                name, trace.array, trace.sampling_rate,
+                carrier_wavelength=trace.carrier_wavelength,
+            )
+            router.push(name, trace.data[0], 0.0)
+            router.push(name, trace.data[1], 0.0)  # duplicate stamp
+            deadline = time.monotonic() + 10.0
+            while router.stats()[0]["queued"] and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert router.stats()[0]["processed"] == 1
+            with pytest.raises(ShardError, match="GuardError"):
+                router.poll(name)
+            assert router.poll(name) == []
+        finally:
+            router.close()
 
     def test_kill_failover_resumes_bit_identically(self, shard_traces, tmp_path):
         """A SIGKILLed shard's sessions continue on a survivor, bit-exact."""

@@ -1,5 +1,7 @@
 """Tests for the streaming (real-time) RIM estimator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.rim import Rim
 from repro.core.streaming import StreamingRim
 from repro.core.trrs import normalize_csi
 from repro.motionsim.profiles import line_trajectory, still_trajectory
+from repro.net.loadgen import updates_equal
 from repro.perf import BatchedBackend, StreamAlignmentCache
 
 
@@ -35,6 +38,13 @@ class TestStreamingRim:
         stream = StreamingRim(three_antenna, 200.0)
         with pytest.raises(ValueError):
             stream.push(np.zeros((5, 2, 8), dtype=np.complex64))
+
+    def test_packet_shape_must_stay_fixed(self, three_antenna):
+        stream = StreamingRim(three_antenna, 200.0)
+        stream.push(np.ones((3, 2, 8), dtype=np.complex64), 0.0)
+        with pytest.raises(ValueError, match="differs"):
+            stream.push(np.ones((3, 1, 8), dtype=np.complex64), 0.005)
+        assert stream.buffered_samples == 1
 
     def test_no_update_before_first_block(self, three_antenna, fast_sampler):
         traj = still_trajectory((10.0, 8.0), 0.2)
@@ -114,7 +124,7 @@ class TestStreamingRim:
         packet = np.ones((3, 2, 8), dtype=np.complex64)
         for _ in range(5):
             stream.push(packet)
-        assert stream._times[-1] == pytest.approx(4 / 100.0)
+        assert stream.state_dict()["times"][-1] == pytest.approx(4 / 100.0)
 
 
 class TestStreamingGuard:
@@ -131,7 +141,7 @@ class TestStreamingGuard:
         stream.push(packet, 0.01)  # duplicate: silently dropped
         stream.push(packet, 0.02)
         assert stream.buffered_samples == 3
-        np.testing.assert_allclose(stream._times, [0.00, 0.01, 0.02])
+        np.testing.assert_allclose(stream.state_dict()["times"], [0.00, 0.01, 0.02])
 
     def test_nonmonotonic_timestamp_rejected(self, three_antenna):
         stream = StreamingRim(three_antenna, 100.0, RimConfig(max_lag=40))
@@ -140,7 +150,7 @@ class TestStreamingGuard:
         stream.push(packet, 0.02)
         stream.push(packet, 0.01)  # late arrival: dropped
         assert stream.buffered_samples == 2
-        assert np.all(np.diff(stream._times) > 0)
+        assert np.all(np.diff(stream.state_dict()["times"]) > 0)
 
     def test_raise_policy_raises_on_duplicates(self, three_antenna):
         from repro.robustness import GuardError
@@ -288,6 +298,32 @@ class TestStreamAlignmentCache:
         # No new seeding happened after the clock went bad.
         assert stream._align_cache.seeded_cells == primed
 
+    def test_lost_sample_is_not_clock_drift(self, three_antenna, fast_sampler):
+        """A sample lost from a short block lowers the block's mean rate,
+        not its clock: the block guard judges drift against the stream's
+        nominal rate, so nothing is resampled and no row is dropped."""
+        traj = line_trajectory((10.0, 8.0), 0.0, 0.5, 1.0)
+        trace = fast_sampler.sample(traj, three_antenna)
+        stream = StreamingRim(
+            three_antenna,
+            trace.sampling_rate,
+            RimConfig(max_lag=25, kernel_backend="batched"),
+            block_seconds=0.25,
+            carrier_wavelength=trace.carrier_wavelength,
+        )
+        lost = 10  # inside the first 0.25 s block
+        updates = []
+        for k in range(trace.n_samples):
+            if k == lost:
+                continue
+            update = stream.push(trace.data[k], trace.times[k])
+            if update is not None:
+                updates.append(update)
+        assert len(updates) > 2
+        for update in updates:
+            assert "clock_resampled" not in update.health.repairs
+        assert stream._align_cache.invalidations == 0
+
     def test_seed_skips_reversed_keys(self, line_trace):
         """The store keeps one band per pair, keyed i < j; a checkpoint
         from before that may still hold a (j, i) entry, which must not
@@ -377,3 +413,83 @@ class TestFusedSanitize:
             obs.METRICS.counter("sanitize.samples").value
             == trace.n_samples - half
         )
+
+
+class TestStreamWindow:
+    """The retained window: preallocated, trimmed in place, checkpointed."""
+
+    def _build(self, three_antenna, trace, block_seconds=0.25):
+        return StreamingRim(
+            three_antenna,
+            trace.sampling_rate,
+            RimConfig(max_lag=25),
+            block_seconds=block_seconds,
+            carrier_wavelength=trace.carrier_wavelength,
+        )
+
+    def test_still_blocks_skip_normalization(
+        self, three_antenna, fast_sampler, monkeypatch
+    ):
+        """Only the alignment stages read normalized CSI: a still block
+        must not build it, a moving one must."""
+        import repro.core.rim as rim_module
+
+        calls = []
+        normalize = rim_module.normalize_csi
+
+        def counting(data):
+            calls.append(data.shape[0])
+            return normalize(data)
+
+        monkeypatch.setattr(rim_module, "normalize_csi", counting)
+        still = fast_sampler.sample(still_trajectory((10.0, 8.0), 2.0), three_antenna)
+        updates = _stream_trace(self._build(three_antenna, still, 0.5), still)
+        assert updates and not any(u.moving.any() for u in updates)
+        assert calls == []
+
+        moving = fast_sampler.sample(
+            line_trajectory((10.0, 8.0), 0.0, 0.5, 2.0), three_antenna
+        )
+        _stream_trace(self._build(three_antenna, moving, 0.5), moving)
+        assert calls
+
+    def test_complex128_packets_match_complex64(self, three_antenna, line_trace):
+        """The window stores complex64 whatever the packet dtype, as the
+        block path always fed the estimator."""
+        narrow = _stream_trace(self._build(three_antenna, line_trace), line_trace)
+        wide_trace = replace(line_trace, data=line_trace.data.astype(np.complex128))
+        wide = _stream_trace(self._build(three_antenna, wide_trace), wide_trace)
+        assert len(narrow) > 4
+        assert updates_equal(wide, narrow)
+
+    def test_resume_after_trims_is_bit_identical(self, three_antenna, line_trace):
+        """A snapshot taken mid-block, after several in-place trims,
+        resumes into the same updates an uninterrupted stream emits."""
+        trace = line_trace
+        whole = _stream_trace(self._build(three_antenna, trace), trace)
+
+        first = self._build(three_antenna, trace)
+        cut = 5 * first.block_samples + first.block_samples // 2
+        assert cut > 2 * (first.context_samples + first.block_samples)
+        head = []
+        for k in range(cut):
+            update = first.push(trace.data[k], trace.times[k])
+            if update is not None:
+                head.append(update)
+        state = first.state_dict()
+        assert state["version"] == 1
+        assert state["packets"].dtype == np.complex64
+        assert state["packets"].shape[0] == first.buffered_samples
+
+        second = self._build(three_antenna, trace)
+        second.load_state_dict(state)
+        assert second.buffered_samples == first.buffered_samples
+        tail = []
+        for k in range(cut, trace.n_samples):
+            update = second.push(trace.data[k], trace.times[k])
+            if update is not None:
+                tail.append(update)
+        final = second.flush()
+        if final is not None:
+            tail.append(final)
+        assert updates_equal(head + tail, whole)

@@ -219,6 +219,27 @@ def test_faulted_wire_updates_carry_breakdowns():
         assert snap[name]["count"] > 0
 
 
+def test_baseline_replay_stays_out_of_telemetry():
+    """The bit-identity oracle replays each stream in process under the
+    served session's name; its work must not count as served traffic."""
+    from repro.net import NetFaultPlan, run_net_load
+    from repro.serve.simulate import simulated_receivers
+
+    obs.enable()
+    receivers = simulated_receivers(2, seed=3, duration_s=1.0)
+    plan = NetFaultPlan(seed=7, drop_fraction=0.05, corrupt_fraction=0.03)
+    result = run_net_load(receivers, fault_plan=plan, check_baseline=True)
+    assert obs.enabled(), "the replay must restore the obs state"
+    snap = obs.METRICS.snapshot()
+
+    assert result["baseline_match"] is True
+    for row in result["sessions"]:
+        offered = snap[f"serve.offered{{session={row['session']}}}"]["value"]
+        assert offered == row["offered"], row["session"]
+    served = sum(len(updates) for updates in result["updates"].values())
+    assert snap["span.stream.block"]["count"] == served
+
+
 # -- live gauges ----------------------------------------------------------
 
 
