@@ -436,22 +436,26 @@ def cmd_net_serve(args) -> int:
         idle_timeout_s=args.idle_timeout,
     )
     serve_config = _serve_config(args)
-    router = None
-    if args.shards:
-        from repro.shard.router import ShardRouter, fleet_sync_loop
-
-        router = ShardRouter(
-            args.shards,
-            serve_config=serve_config,
-            record_dir=args.record_dir or None,
-        )
-        router.wait_ready()
-        server = NetServer(config=config, manager=router, serve_config=serve_config)
-    else:
-        server = NetServer(config=config, serve_config=serve_config)
-        if args.record_dir:
-            server.manager.record_dir = Path(args.record_dir)
+    # The fleet starts inside the telemetry scope: its workers collect
+    # metrics and carry trace contexts only when obs is on at spawn.
     with _telemetry(args):
+        router = None
+        if args.shards:
+            from repro.shard.router import ShardRouter, fleet_sync_loop
+
+            router = ShardRouter(
+                args.shards,
+                serve_config=serve_config,
+                record_dir=args.record_dir or None,
+            )
+            router.wait_ready()
+            server = NetServer(
+                config=config, manager=router, serve_config=serve_config
+            )
+        else:
+            server = NetServer(config=config, serve_config=serve_config)
+            if args.record_dir:
+                server.manager.record_dir = Path(args.record_dir)
         t0 = time.perf_counter()
         server.start()
         where = f"{config.host}:{server.port}"

@@ -1,11 +1,11 @@
-"""Trace metadata codecs shared by the store, net and shard layers.
+"""Trace metadata codecs shared by the store and net layers.
 
 A real deployment records CSI once and reprocesses it many times (tuning
 configs, comparing algorithms), so traces need a stable on-disk format.
 That format is the chunked, append-only, integrity-checked store of
 :mod:`repro.store`.  This module holds its format-version check and the
 JSON codecs for the antenna array and the ground-truth trajectory, which
-the store manifest, the net HELLO and the shard CREATE messages share.
+the store manifest and the net HELLO share.
 """
 
 from __future__ import annotations

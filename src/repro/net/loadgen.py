@@ -28,11 +28,11 @@ import numpy as np
 from repro import obs
 from repro.channel.sampler import CsiTrace
 from repro.core.config import RimConfig
-from repro.core.streaming import MotionUpdate
+from repro.core.streaming import MotionUpdate, StreamingRim
 from repro.net.client import NetClient, NetClientConfig
 from repro.net.faults import NetFaultPlan
 from repro.net.server import NetServer, NetServerConfig
-from repro.serve.session import ServeConfig, SessionManager
+from repro.serve.session import ServeConfig
 
 
 def updates_equal(
@@ -84,9 +84,11 @@ def baseline_updates(
     (drops and corruption are terminal; duplicates and reordering are
     repaired by the server); without one, every sample is pushed.
 
-    The replay is not served traffic, so it runs with :mod:`repro.obs`
-    off: a served session of the same name keeps its telemetry to
-    itself, and the previous obs state is restored afterwards.
+    The samples go straight into the estimator that a served session
+    of ``name`` wraps, since its queue (under the default ``block``
+    policy) hands every sample on in order.  The replay is not served
+    traffic: it runs with :mod:`repro.obs` off, restoring the previous
+    state afterwards, and records no flight event.
     """
     n = trace.n_samples
     delivered = (
@@ -95,17 +97,21 @@ def baseline_updates(
     was_enabled = obs.enabled()
     obs.disable()
     try:
-        manager = SessionManager(rim_config=rim_config, serve_config=serve_config)
-        manager.create(
-            name,
+        stream = StreamingRim(
             trace.array,
             trace.sampling_rate,
+            rim_config,
+            block_seconds=(serve_config or ServeConfig()).block_seconds,
             carrier_wavelength=trace.carrier_wavelength,
         )
+        updates = []
         for seq in range(n):
             if seq in delivered:
-                manager.push(name, trace.data[seq], float(trace.times[seq]))
-        return manager.poll(name) + manager.evict(name)
+                update = stream.push(trace.data[seq], float(trace.times[seq]))
+                if update is not None:
+                    updates.append(update)
+        final = stream.flush()
+        return updates if final is None else updates + [final]
     finally:
         if was_enabled:
             obs.enable()

@@ -6,16 +6,15 @@ them across N worker processes — one private
 behind a :class:`~repro.shard.router.ShardRouter` that speaks the same
 ``create`` / ``push`` / ``poll`` / ``flush_all`` / ``stats`` surface.
 Sessions land on shards by consistent hash of their name
-(:mod:`repro.shard.ring`), CSI crosses the per-shard pipes in
-CRC-protected binary records (:mod:`repro.shard.messages`, built on
-:class:`repro.binfmt.HeaderCodec`), and a dead shard's sessions resume
-bit-identically on survivors from their ingest recordings
-(:mod:`repro.shard.worker`).  Replaying a receiver fleet through shards
-is :func:`repro.serve.simulate.run_serve_sim` with ``shards=N``.  See
-``docs/sharding.md``.
+(:mod:`repro.shard.ring`), each request crosses the per-shard pipe as
+one pickled record whose body is what the in-process call takes (so
+updates come back whole, latency breakdowns included), and a dead
+shard's sessions resume bit-identically on survivors from their ingest
+recordings (:mod:`repro.shard.worker`).  Replaying a receiver fleet
+through shards is :func:`repro.serve.simulate.run_serve_sim` with
+``shards=N``.  See ``docs/sharding.md``.
 """
 
-from repro.shard.messages import ShardProtocolError
 from repro.shard.ring import HashRing
 from repro.shard.router import ShardError, ShardRouter, ShardSessionProxy
 from repro.shard.worker import SHARD_CHUNK_SAMPLES, WorkerInit, shard_worker_main
@@ -24,7 +23,6 @@ __all__ = [
     "HashRing",
     "SHARD_CHUNK_SAMPLES",
     "ShardError",
-    "ShardProtocolError",
     "ShardRouter",
     "ShardSessionProxy",
     "WorkerInit",

@@ -5,8 +5,8 @@
 :class:`~repro.serve.session.SessionManager`), assigns sessions to
 shards by consistent hash of the session name
 (:class:`~repro.shard.ring.HashRing`), and ships CSI packets and control
-messages over per-shard pipes using the CRC-protected
-:mod:`repro.shard.messages` codec.
+requests over per-shard pipes as pickled records (the kinds and bodies
+are listed in :mod:`repro.shard.worker`).
 
 The router mirrors the ``SessionManager`` surface (``create`` / ``push``
 / ``poll`` / ``flush_all`` / ``stats`` / ``names``), so
@@ -46,13 +46,14 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,13 +61,27 @@ from repro import obs
 from repro.arrays.geometry import AntennaArray
 from repro.core.config import RimConfig
 from repro.core.streaming import MotionUpdate
-from repro.io import array_to_manifest
 from repro.obs.flight import FLIGHT
 from repro.obs.provenance import SampleProvenance
 from repro.serve.session import PUSH_ACCEPTED, ServeConfig
-from repro.shard import messages as msg
 from repro.shard.ring import HashRing
-from repro.shard.worker import WorkerInit, shard_worker_main
+from repro.shard.worker import (
+    ADOPT,
+    CREATE,
+    DATA,
+    EVICT,
+    FLUSH,
+    NOTE,
+    PING,
+    POLL,
+    SHUTDOWN,
+    SNAPSHOT,
+    STATS,
+    SYNC,
+    WorkerInit,
+    pack,
+    shard_worker_main,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -127,9 +142,7 @@ class _SessionRecord:
 
     name: str
     owner: str
-    array_manifest: Dict[str, Any]
-    sampling_rate: float
-    carrier_wavelength: float
+    spec: Tuple[AntennaArray, float, float]  # the CREATE body
     delivered: int = 0  # updates handed to the consumer so far
     generation: int = 0  # failover count == recording generations - 1
     flushed: bool = False
@@ -275,7 +288,7 @@ class ShardRouter:
         """
         for shard in self._alive():
             try:
-                self._request(shard, msg.MSG_PING, timeout=READY_TIMEOUT_S)
+                self._request(shard, PING, timeout=READY_TIMEOUT_S)
             except _ShardDown as down:
                 raise ShardError(f"fleet never came up: {down}") from down
 
@@ -287,9 +300,12 @@ class ShardRouter:
             self.flush_all()
         except ShardError:
             logger.warning("flush during close failed; shutting down anyway")
+        # The workers' registries end with them: fold in their last
+        # deltas, so a snapshot taken after close still counts the flush.
+        self.refresh_metrics()
         for shard in self._alive():
             try:
-                self._request(shard, msg.MSG_SHUTDOWN, timeout=SHUTDOWN_TIMEOUT_S)
+                self._request(shard, SHUTDOWN, timeout=SHUTDOWN_TIMEOUT_S)
             except (_ShardDown, ShardError):
                 pass
         self._closed = True
@@ -353,16 +369,7 @@ class ShardRouter:
         record = _SessionRecord(
             name=name,
             owner="",
-            array_manifest=array_to_manifest(array),
-            sampling_rate=float(sampling_rate),
-            carrier_wavelength=float(carrier_wavelength),
-        )
-        spec = msg.pack_json(
-            {
-                "array": record.array_manifest,
-                "sampling_rate": record.sampling_rate,
-                "carrier_wavelength": record.carrier_wavelength,
-            }
+            spec=(array, float(sampling_rate), float(carrier_wavelength)),
         )
         with self._lock:
             if name in self._sessions:
@@ -370,7 +377,7 @@ class ShardRouter:
             self._sessions[name] = record
         try:
             self._per_session(
-                name, lambda shard: self._request(shard, msg.MSG_CREATE, name, spec)
+                name, lambda shard: self._request(shard, CREATE, name, record.spec)
             )
         except Exception:
             with self._lock:
@@ -392,60 +399,49 @@ class ShardRouter:
         timestamp: Optional[float] = None,
         provenance: Optional[SampleProvenance] = None,
     ) -> str:
-        """Ship one packet to the owning shard (fire-and-forget).
+        """Ship one packet and its trace context to the owning shard
+        (fire-and-forget).
 
         The worker applies backpressure on its side; the return value is
         always :data:`PUSH_ACCEPTED` (see :class:`ShardSessionProxy`).
-        ``provenance`` does not cross the pipe — the worker mints its
-        own ingest-boundary context when obs is enabled.
         """
-        payload = msg.pack_data(timestamp, packet)
-        self._per_session(
-            name,
-            lambda shard: self._send(
-                shard, msg.pack_message(msg.MSG_DATA, name, 0, payload)
-            ),
-        )
+        raw = pack(DATA, name, 0, (packet, timestamp, provenance))
+        self._per_session(name, lambda shard: self._send(shard, raw))
         obs.add("serve.pushes")
         return PUSH_ACCEPTED
 
     def poll(self, name: str) -> List[MotionUpdate]:
         """Drain a session on its shard; return updates since last poll."""
-        reply = self._per_session(
-            name, lambda shard: self._request(shard, msg.MSG_POLL, name)
+        updates = self._per_session(
+            name, lambda shard: self._request(shard, POLL, name)
         )
-        return self._deliver(name, reply)
+        return self._deliver(name, updates)
 
     def flush(self, name: str) -> List[MotionUpdate]:
         """End-of-stream flush of one session (closes its recording)."""
-        reply = self._per_session(
-            name, lambda shard: self._request(shard, msg.MSG_FLUSH, name)
+        updates = self._per_session(
+            name, lambda shard: self._request(shard, FLUSH, name)
         )
         with self._lock:
             record = self._sessions.get(name)
             if record is not None:
                 record.flushed = True
-        return self._deliver(name, reply)
+        return self._deliver(name, updates)
 
     def evict(self, name: str) -> List[MotionUpdate]:
         """Flush and remove one session fleet-wide."""
-        reply = self._per_session(
-            name, lambda shard: self._request(shard, msg.MSG_EVICT, name)
+        updates = self._per_session(
+            name, lambda shard: self._request(shard, EVICT, name)
         )
-        updates = self._deliver(name, reply)
+        self._deliver(name, updates)
         with self._lock:
             self._sessions.pop(name, None)
         return updates
 
     def note_repair(self, name: str, key: str, n: int = 1) -> None:
         """Forward an ingest-side repair tally (e.g. ``net_*`` faults)."""
-        payload = msg.pack_json({"key": key, "n": int(n)})
-        self._per_session(
-            name,
-            lambda shard: self._send(
-                shard, msg.pack_message(msg.MSG_NOTE, name, 0, payload)
-            ),
-        )
+        raw = pack(NOTE, name, 0, (key, int(n)))
+        self._per_session(name, lambda shard: self._send(shard, raw))
 
     def flush_all(self) -> Dict[str, List[MotionUpdate]]:
         """Flush every session in place; returns final updates by name."""
@@ -464,14 +460,12 @@ class ShardRouter:
         rows: List[Dict[str, object]] = []
         for shard in self._alive():
             try:
-                reply = self._request(shard, msg.MSG_STATS)
+                shard_rows = self._request(shard, STATS)
             except _ShardDown as down:
                 self._on_shard_death(down.shard)
                 continue
-            body = reply.json()
-            for row in body.get("rows", []):
-                row = dict(row)
-                row["shard"] = body.get("shard", shard.name)
+            for row in shard_rows:
+                row["shard"] = shard.name
                 rows.append(row)
         rows.sort(key=lambda row: str(row.get("session", "")))
         return rows
@@ -488,11 +482,9 @@ class ShardRouter:
         synced = 0
         for shard in self._alive():
             try:
-                reply = self._request(shard, msg.MSG_SYNC)
+                synced += self._request(shard, SYNC)
             except _ShardDown as down:
                 self._on_shard_death(down.shard)
-                continue
-            synced += int(reply.json().get("synced", 0))
         return synced
 
     def check_shards(self) -> List[str]:
@@ -557,14 +549,13 @@ class ShardRouter:
             if not shard.lock.acquire(timeout=0.2):
                 continue
             try:
-                reply = self._roundtrip_locked(
-                    shard, msg.MSG_SNAPSHOT, "", b"", REQUEST_TIMEOUT_S
+                snapshot = self._roundtrip_locked(
+                    shard, SNAPSHOT, "", None, REQUEST_TIMEOUT_S
                 )
             except _ShardDown:
                 continue  # the next data-path touch handles the failover
             finally:
                 shard.lock.release()
-            snapshot = reply.json().get("metrics", {})
             obs.METRICS.apply_snapshot(snapshot, previous=shard.last_snapshot)
             shard.last_snapshot = snapshot
 
@@ -630,54 +621,51 @@ class ShardRouter:
     def _request(
         self,
         shard: _Shard,
-        msg_type: int,
+        kind: str,
         name: str = "",
-        payload: bytes = b"",
+        body: Any = None,
         timeout: float = REQUEST_TIMEOUT_S,
-    ) -> msg.ShardMessage:
+    ) -> Any:
         with shard.lock:
             if not shard.alive:
                 raise _ShardDown(shard, RuntimeError("already marked dead"))
-            return self._roundtrip_locked(shard, msg_type, name, payload, timeout)
+            return self._roundtrip_locked(shard, kind, name, body, timeout)
 
     def _roundtrip_locked(
-        self, shard: _Shard, msg_type: int, name: str, payload: bytes, timeout: float
-    ) -> msg.ShardMessage:
+        self, shard: _Shard, kind: str, name: str, body: Any, timeout: float
+    ) -> Any:
         shard.seq += 1
         seq = shard.seq
         try:
-            shard.conn.send_bytes(msg.pack_message(msg_type, name, seq, payload))
+            shard.conn.send_bytes(pack(kind, name, seq, body))
             if not shard.conn.poll(timeout):
                 if not shard.process.is_alive():
                     raise _ShardDown(
                         shard, RuntimeError("worker process exited")
                     )
                 raise ShardError(
-                    f"{shard.name}: no reply to {msg.msg_name(msg_type)} "
+                    f"{shard.name}: no reply to {kind.upper()} "
                     f"within {timeout:.0f}s"
                 )
             raw = shard.conn.recv_bytes()
         except _PIPE_ERRORS as exc:
             raise _ShardDown(shard, exc) from exc
-        reply = msg.unpack_message(raw, where=shard.name)
-        if reply.seq != seq:
+        reply_seq, error, result = pickle.loads(raw)
+        if reply_seq != seq:
             raise ShardError(
-                f"{shard.name}: reply seq {reply.seq} != request seq {seq} "
+                f"{shard.name}: reply seq {reply_seq} != request seq {seq} "
                 "(pipe protocol violation)"
             )
-        if reply.msg_type == msg.MSG_ERROR:
-            body = reply.json()
-            kind = body.get("kind", "")
-            error = body.get("error", "shard error")
-            if kind == "KeyError":
-                raise KeyError(error)
-            if kind == "ValueError":
-                raise ValueError(error)
-            raise ShardError(f"{shard.name}: {kind}: {error}")
-        return reply
+        if error is not None:
+            error_kind, message = error
+            if error_kind == "KeyError":
+                raise KeyError(message)
+            if error_kind == "ValueError":
+                raise ValueError(message)
+            raise ShardError(f"{shard.name}: {error_kind}: {message}")
+        return result
 
-    def _deliver(self, name: str, reply: msg.ShardMessage) -> List[MotionUpdate]:
-        updates = msg.unpack_updates(reply.payload)
+    def _deliver(self, name: str, updates: List[MotionUpdate]) -> List[MotionUpdate]:
         if updates:
             with self._lock:
                 record = self._sessions.get(name)
@@ -729,38 +717,21 @@ class ShardRouter:
 
     def _adopt(self, record: _SessionRecord) -> None:
         """Resume one victim session on a ring-chosen survivor."""
-        assert self.record_dir is not None
         record.generation += 1
-        stores = [str(self.record_dir / record.name)] + [
-            str(self.record_dir / f"{record.name}@g{g}")
-            for g in range(1, record.generation)
-        ]
-        spec = msg.pack_json(
-            {
-                "stores": stores,
-                "skip_updates": record.delivered,
-                "generation": record.generation,
-                "array": record.array_manifest,
-                "sampling_rate": record.sampling_rate,
-                "carrier_wavelength": record.carrier_wavelength,
-            }
-        )
+        body = (record.spec, record.generation, record.delivered)
         while True:
             target_name = self._assign_shard(record.name)
             target = self._shards[target_name]
             try:
-                reply = self._request(target, msg.MSG_ADOPT, record.name, spec)
+                self._request(target, ADOPT, record.name, body)
             except _ShardDown as down:
                 self._on_shard_death(down.shard)
                 continue
-            body = reply.json()
             record.owner = target_name
             obs.add("shard.sessions_adopted")
             logger.info(
-                "session %s resumed on %s (gen %d): %s packets replayed, "
-                "%s updates queued",
+                "session %s resumed on %s (gen %d)",
                 record.name, target_name, record.generation,
-                body.get("n_ingested"), body.get("n_queued"),
             )
             return
 

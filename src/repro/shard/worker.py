@@ -7,6 +7,15 @@ private GIL, and a private :mod:`repro.obs` registry — and services one
 request at a time off its pipe in FIFO order, so a round-trip's reply is
 always the next record the router reads.
 
+Each pipe record is one pickled tuple sent with
+``Connection.send_bytes``: ``(kind, name, seq, body)`` from the router
+and ``(seq, error, result)`` back.  Bodies and results are the objects
+an in-process ``SessionManager`` call takes or returns (the table beside
+:class:`_ShardWorker`'s handler map), so updates cross whole, latency
+breakdowns and health reports included.  A record that does not unpickle
+ends the worker as a kill would: the router finds the pipe closed and
+resumes the worker's sessions on the survivors.
+
 Between requests the worker ingests: whenever the pipe holds no request,
 it feeds the oldest backlogged session's queued packets to its
 estimator.  A POLL then mostly collects a block already computed, and
@@ -31,19 +40,18 @@ Two request families matter beyond plain session plumbing:
 from __future__ import annotations
 
 import logging
+import pickle
 import signal
 import threading
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Set
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.core.config import RimConfig
 from repro.core.streaming import MotionUpdate
-from repro.io import array_from_manifest
 from repro.serve.session import ServeConfig, ServeSession, SessionManager
-from repro.shard import messages as msg
 from repro.store.checkpoint import CheckpointedReplayer
 from repro.store.reader import TraceReader
 from repro.store.writer import TraceWriter
@@ -54,8 +62,22 @@ logger = logging.getLogger(__name__)
 # tail at typical CSI rates, at a small file-count cost.
 SHARD_CHUNK_SAMPLES = 64
 
+# Request kinds (the first field of a router record).
+PING, CREATE, DATA, NOTE, POLL, FLUSH, EVICT = (
+    "ping", "create", "data", "note", "poll", "flush", "evict",
+)
+STATS, SNAPSHOT, SYNC, ADOPT, SHUTDOWN = (
+    "stats", "snapshot", "sync", "adopt", "shutdown",
+)
+# Never answered, so a push costs no round trip.
+FIRE_AND_FORGET = frozenset({DATA, NOTE})
 # Requests that drain a session: they report a failure of its idle ingest.
-_DRAINING = (msg.MSG_POLL, msg.MSG_FLUSH, msg.MSG_EVICT)
+_DRAINING = frozenset({POLL, FLUSH, EVICT})
+
+
+def pack(*fields: Any) -> bytes:
+    """One pipe record: the pickled tuple of ``fields``."""
+    return pickle.dumps(fields, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 @dataclass
@@ -120,6 +142,33 @@ class _ShardWorker:
         # Idle ingest has no request to answer: a failure waits for the
         # session's next draining request, which a drain there would fail.
         self._ingest_errors: Dict[str, Exception] = {}
+        # kind      body                                    result
+        # PING      None                                    None
+        # CREATE    (array, sampling_rate, wavelength)      None
+        # DATA      (packet, timestamp, provenance)         (no reply)
+        # NOTE      (repair key, count)                     (no reply)
+        # POLL      None                                    [MotionUpdate]
+        # FLUSH     None                                    [MotionUpdate]
+        # EVICT     None                                    [MotionUpdate]
+        # STATS     None                                    stats rows
+        # SNAPSHOT  None                                    registry snapshot
+        # SYNC      None                                    sessions synced
+        # ADOPT     (CREATE body, generation, delivered)    None
+        # SHUTDOWN  None                                    None
+        self._handlers: Dict[str, Callable[[str, Any], Any]] = {
+            PING: lambda name, body: None,
+            CREATE: self._create,
+            DATA: self._data,
+            NOTE: lambda name, body: self.manager.get(name).note_repair(*body),
+            POLL: lambda name, body: self.manager.poll(name),
+            FLUSH: self._flush,
+            EVICT: self._evict,
+            STATS: lambda name, body: self.manager.stats(),
+            SNAPSHOT: lambda name, body: obs.METRICS.snapshot(),
+            SYNC: lambda name, body: self._sync_all(),
+            ADOPT: self._adopt,
+            SHUTDOWN: self._shutdown,
+        }
 
     # -- loop ---------------------------------------------------------------
 
@@ -129,65 +178,34 @@ class _ShardWorker:
                 self._ingest_idle()
                 continue
             try:
-                raw = self.conn.recv_bytes()
-            except (EOFError, OSError):
-                # Router gone: nothing to reply to; make recordings
-                # durable so a new router can still adopt our sessions.
+                kind, name, seq, body = pickle.loads(self.conn.recv_bytes())
+            except Exception as exc:
+                # The router is gone, or sent a record that does not
+                # unpickle: nothing after it can be trusted.  Make the
+                # recordings durable so the sessions resume elsewhere.
+                if not isinstance(exc, (EOFError, OSError)):
+                    logger.error(
+                        "%s: unreadable record, exiting: %s",
+                        self.init.shard_name, exc,
+                    )
                 self._sync_all()
                 break
+            error: Optional[Tuple[str, str]] = None
+            result: Any = None
             try:
-                request = msg.unpack_message(raw, where=self.init.shard_name)
-            except msg.ShardProtocolError as exc:
-                logger.error("%s: dropping bad record: %s", self.init.shard_name, exc)
-                continue
-            if request.msg_type == msg.MSG_SHUTDOWN:
-                self._handle_shutdown(request)
-                break
-            try:
-                self._dispatch(request)
+                if kind in _DRAINING and name in self._ingest_errors:
+                    raise self._ingest_errors.pop(name)
+                result = self._handlers[kind](name, body)
             except Exception as exc:  # reply, never die mid-protocol
                 logger.exception(
-                    "%s: %s %r failed", self.init.shard_name,
-                    msg.msg_name(request.msg_type), request.name,
+                    "%s: %s %r failed", self.init.shard_name, kind, name
                 )
-                if not msg.is_fire_and_forget(request.msg_type):
-                    self._reply(
-                        msg.MSG_ERROR, request,
-                        msg.pack_json(
-                            {"error": str(exc), "kind": type(exc).__name__}
-                        ),
-                    )
+                error = (type(exc).__name__, str(exc))
+            if kind not in FIRE_AND_FORGET:
+                self.conn.send_bytes(pack(seq, error, result))
+            if kind == SHUTDOWN:
+                break
         self.conn.close()
-
-    def _reply(self, msg_type: int, request: msg.ShardMessage, payload: bytes) -> None:
-        self.conn.send_bytes(
-            msg.pack_message(msg_type, request.name, request.seq, payload)
-        )
-
-    def _ok(self, request: msg.ShardMessage, obj: Dict[str, Any]) -> None:
-        self._reply(msg.MSG_OK, request, msg.pack_json(obj))
-
-    def _dispatch(self, request: msg.ShardMessage) -> None:
-        handler = {
-            msg.MSG_PING: self._handle_ping,
-            msg.MSG_CREATE: self._handle_create,
-            msg.MSG_DATA: self._handle_data,
-            msg.MSG_POLL: self._handle_poll,
-            msg.MSG_FLUSH: self._handle_flush,
-            msg.MSG_STATS: self._handle_stats,
-            msg.MSG_SNAPSHOT: self._handle_snapshot,
-            msg.MSG_SYNC: self._handle_sync,
-            msg.MSG_ADOPT: self._handle_adopt,
-            msg.MSG_NOTE: self._handle_note,
-            msg.MSG_EVICT: self._handle_evict,
-        }.get(request.msg_type)
-        if handler is None:
-            raise msg.ShardProtocolError(
-                f"unexpected request {msg.msg_name(request.msg_type)}"
-            )
-        if request.msg_type in _DRAINING and request.name in self._ingest_errors:
-            raise self._ingest_errors.pop(request.name)
-        handler(request)
 
     def _ingest_idle(self) -> None:
         """Feed the oldest backlogged session's queue to its estimator."""
@@ -205,79 +223,39 @@ class _ShardWorker:
 
     # -- handlers -----------------------------------------------------------
 
-    def _handle_ping(self, request: msg.ShardMessage) -> None:
-        self._ok(
-            request,
-            {"shard": self.init.shard_name, "sessions": len(self.manager)},
-        )
-
-    def _handle_create(self, request: msg.ShardMessage) -> None:
-        spec = request.json()
+    def _create(self, name: str, body) -> None:
+        array, sampling_rate, carrier_wavelength = body
         self.manager.create(
-            request.name,
-            array_from_manifest(spec["array"]),
-            float(spec["sampling_rate"]),
-            carrier_wavelength=float(spec.get("carrier_wavelength", 0.0516)),
+            name, array, sampling_rate, carrier_wavelength=carrier_wavelength
         )
-        self._flushed[request.name] = False
-        self._ok(request, {"shard": self.init.shard_name})
+        self._flushed[name] = False
 
-    def _handle_data(self, request: msg.ShardMessage) -> None:
-        timestamp, packet = msg.unpack_data(request.payload)
-        self.manager.push(request.name, packet, timestamp)
-        if request.name not in self._backlogged:
-            self._backlogged.add(request.name)
-            self._backlog.append(request.name)
+    def _data(self, name: str, body) -> None:
+        self.manager.push(name, *body)
+        if name not in self._backlogged:
+            self._backlogged.add(name)
+            self._backlog.append(name)
 
-    def _handle_poll(self, request: msg.ShardMessage) -> None:
-        updates = self.manager.poll(request.name)
-        self._reply(msg.MSG_UPDATES, request, msg.pack_updates(updates))
+    def _flush(self, name: str, body) -> List[MotionUpdate]:
+        updates = self.manager.get(name).flush()
+        self._flushed[name] = True
+        return updates
 
-    def _handle_flush(self, request: msg.ShardMessage) -> None:
-        updates = self.manager.get(request.name).flush()
-        self._flushed[request.name] = True
-        self._reply(msg.MSG_UPDATES, request, msg.pack_updates(updates))
+    def _evict(self, name: str, body) -> List[MotionUpdate]:
+        updates = self.manager.evict(name)
+        self._flushed.pop(name, None)
+        return updates
 
-    def _handle_evict(self, request: msg.ShardMessage) -> None:
-        updates = self.manager.evict(request.name)
-        self._flushed.pop(request.name, None)
-        self._reply(msg.MSG_UPDATES, request, msg.pack_updates(updates))
-
-    def _handle_note(self, request: msg.ShardMessage) -> None:
-        note = request.json()
-        self.manager.get(request.name).note_repair(
-            str(note["key"]), int(note.get("n", 1))
-        )
-
-    def _handle_stats(self, request: msg.ShardMessage) -> None:
-        self._ok(
-            request,
-            {"shard": self.init.shard_name, "rows": self.manager.stats()},
-        )
-
-    def _handle_snapshot(self, request: msg.ShardMessage) -> None:
-        self._ok(
-            request,
-            {"shard": self.init.shard_name, "metrics": obs.METRICS.snapshot()},
-        )
-
-    def _handle_sync(self, request: msg.ShardMessage) -> None:
-        self._ok(request, {"synced": self._sync_all()})
-
-    def _handle_shutdown(self, request: msg.ShardMessage) -> None:
-        for name in self.manager.names():
-            if not self._flushed.get(name, False):
+    def _shutdown(self, name: str, body) -> None:
+        for session_name in self.manager.names():
+            if not self._flushed.get(session_name, False):
                 try:
-                    self.manager.get(name).flush()
+                    self.manager.get(session_name).flush()
                 except Exception:
                     logger.exception(
                         "%s: flush of %s failed at shutdown",
-                        self.init.shard_name, name,
+                        self.init.shard_name, session_name,
                     )
-        self._ok(
-            request,
-            {"shard": self.init.shard_name, "rows": self.manager.stats()},
-        )
 
     def _sync_all(self) -> int:
         synced = 0
@@ -294,28 +272,16 @@ class _ShardWorker:
 
     # -- failover adoption --------------------------------------------------
 
-    def _handle_adopt(self, request: msg.ShardMessage) -> None:
-        spec = request.json()
-        name = request.name
-        stores = [Path(p) for p in spec["stores"]]
-        skip_updates = int(spec.get("skip_updates", 0))
-        generation = int(spec.get("generation", 1))
+    def _adopt(self, name: str, body) -> None:
+        spec, generation, skip_updates = body
+        assert self.init.record_dir is not None, "adoption needs recordings"
+        root = Path(self.init.record_dir)
+        stores = [root / name] + [root / f"{name}@g{g}" for g in range(1, generation)]
         live = [p for p in stores if (p / "manifest.json").exists()]
         if not live:
             # The victim died before recording anything durable; start the
             # session from scratch (nothing to lose: no packet survived).
-            self.manager.create(
-                name,
-                array_from_manifest(spec["array"]),
-                float(spec["sampling_rate"]),
-                carrier_wavelength=float(spec.get("carrier_wavelength", 0.0516)),
-            )
-            self._flushed[name] = False
-            self._ok(
-                request,
-                {"shard": self.init.shard_name, "n_ingested": 0,
-                 "n_replayed_updates": 0, "n_queued": 0},
-            )
+            self._create(name, spec)
             return
 
         reader = TraceReader(live[0], policy="repair")
@@ -337,15 +303,13 @@ class _ShardWorker:
             )
             n_ingested += n_more
 
-            recorder = None
-            if self.init.record_dir is not None:
-                recorder = TraceWriter(
-                    Path(self.init.record_dir) / f"{name}@g{generation}",
-                    reader.array,
-                    carrier_wavelength=reader.carrier_wavelength,
-                    chunk_samples=SHARD_CHUNK_SAMPLES,
-                    sampling_rate=reader.sampling_rate,
-                )
+            recorder = TraceWriter(
+                root / f"{name}@g{generation}",
+                reader.array,
+                carrier_wavelength=reader.carrier_wavelength,
+                chunk_samples=SHARD_CHUNK_SAMPLES,
+                sampling_rate=reader.sampling_rate,
+            )
             session = ServeSession(
                 name,
                 reader.array,
@@ -369,11 +333,6 @@ class _ShardWorker:
             "regenerated, %d queued (skip %d)",
             self.init.shard_name, name, n_ingested,
             len(updates), n_queued, skip_updates,
-        )
-        self._ok(
-            request,
-            {"shard": self.init.shard_name, "n_ingested": n_ingested,
-             "n_replayed_updates": len(updates), "n_queued": n_queued},
         )
 
     def _replay_generations(

@@ -13,6 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cli import main
 from repro.core.config import RimConfig
 from repro.core.streaming import MotionUpdate
@@ -36,6 +37,8 @@ from repro.net import (
     updates_equal,
 )
 from repro.net import framing
+from repro.obs.export import parse_exposition
+from repro.obs.provenance import validate_breakdown
 from repro.robustness.health import HealthReport
 from repro.serve.session import ServeConfig, SessionManager
 from repro.shard.router import ShardRouter
@@ -844,17 +847,20 @@ def test_net_serve_cli_serves_through_its_fleet(tmp_path, net_trace, capsys):
     # `net-serve --shards 2` runs on the main thread until SIGINT, which
     # a helper thread sends once its load is done.  Only the fleet
     # records under --record-dir, and the exit line reports the rate the
-    # server served at.
+    # server served at.  With a telemetry flag the workers trace too:
+    # every update carries a breakdown, and the exported metrics count
+    # the fleet's work.
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
     record_dir = tmp_path / "rec"
+    metrics = tmp_path / "metrics.txt"
     loaded = []
     before = signal.getsignal(signal.SIGINT)
 
     def load():
         try:
-            run_net_load(
+            result = run_net_load(
                 [("rx00", net_trace), ("rx01", net_trace)],
                 client_config=NetClientConfig(
                     max_connect_attempts=60, backoff_cap_s=0.5
@@ -863,7 +869,7 @@ def test_net_serve_cli_serves_through_its_fleet(tmp_path, net_trace, capsys):
                 port=port,
                 check_baseline=False,
             )
-            loaded.append(True)
+            loaded.append(result)
         finally:
             # Interrupt net-serve's own handler only, never the runner's.
             deadline = time.monotonic() + 60.0
@@ -875,15 +881,16 @@ def test_net_serve_cli_serves_through_its_fleet(tmp_path, net_trace, capsys):
             if signal.getsignal(signal.SIGINT) is not before:
                 os.kill(os.getpid(), signal.SIGINT)
 
+    obs.reset()
     helper = threading.Thread(target=load, name="net-serve-load")
     helper.start()
     rc = main([
         "net-serve", "--port", str(port), "--shards", "2",
-        "--record-dir", str(record_dir),
+        "--record-dir", str(record_dir), "--metrics-out", str(metrics),
     ])
     helper.join(timeout=30.0)
     assert not helper.is_alive()
-    assert rc == 0 and loaded == [True]
+    assert rc == 0 and len(loaded) == 1
     out = capsys.readouterr().out
     rate = re.search(r"2 sessions: \d+ samples in [\d.]+ ms wall \((\d+) samples/s\)", out)
     assert rate is not None, out
@@ -891,6 +898,16 @@ def test_net_serve_cli_serves_through_its_fleet(tmp_path, net_trace, capsys):
     assert "worst recovery" not in out
     stores = sorted(path.parent.name for path in record_dir.glob("*/manifest.json"))
     assert stores == ["rx00", "rx01"]
+    for name, updates in loaded[0]["updates"].items():
+        assert updates, name
+        for update in updates:
+            validate_breakdown(update.stats["provenance"])
+    families = parse_exposition(metrics.read_text())
+    offered = families["rim_serve_offered_total"]["samples"]
+    assert {labels["session"]: value for _, labels, value in offered} == {
+        "rx00": net_trace.n_samples, "rx01": net_trace.n_samples,
+    }
+    obs.reset()
 
 
 def _ingest_threads():

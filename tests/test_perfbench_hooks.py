@@ -61,3 +61,27 @@ def test_wire_workload_client_and_router_hooks(three_antenna):
         "self",
         "name",
     ]
+
+
+def test_pipe_records_reach_the_send_probe_as_bytes(line_trace, monkeypatch):
+    # perfbench counts len(raw) of every ShardRouter._send as
+    # shard.bytes_sent, which only means bytes while records are bytes.
+    sent = []
+    send = ShardRouter._send
+
+    def probe(router, shard, raw):
+        sent.append(raw)
+        return send(router, shard, raw)
+
+    monkeypatch.setattr(ShardRouter, "_send", probe)
+    with ShardRouter(1) as router:
+        router.create(
+            "rx00", line_trace.array, line_trace.sampling_rate,
+            carrier_wavelength=line_trace.carrier_wavelength,
+        )
+        router.push("rx00", line_trace.data[0], float(line_trace.times[0]))
+        router.note_repair("rx00", "net_gap_samples")
+        router.flush("rx00")
+    assert len(sent) == 2
+    for raw in sent:
+        assert type(raw) is bytes and len(raw) > 0

@@ -4,7 +4,9 @@ Locks down the PR-9 acceptance criteria:
 
 * the consistent-hash ring is deterministic across processes and stable
   under resize (a failover remaps ~1/N sessions, not all of them);
-* the pipe codec round-trips bit-exactly and refuses corruption;
+* pipe records carry packets, request bodies and updates whole, DATA
+  and NOTE get no reply, and a record that does not unpickle ends its
+  worker, whose sessions resume on a survivor;
 * a sharded fleet produces exactly the update streams and stats a
   single in-process :class:`~repro.serve.session.SessionManager` does;
 * a SIGKILLed shard's sessions resume **bit-identically** on a
@@ -30,8 +32,9 @@ from repro.core.streaming import StreamingRim
 from repro.motionsim.profiles import line_trajectory
 from repro.serve.session import ServeConfig, SessionManager
 from repro.serve.simulate import render_serve_table, run_serve_sim
-from repro.shard import HashRing, ShardError, ShardProtocolError, ShardRouter
-from repro.shard import messages as msg
+from repro.shard import HashRing, ShardError, ShardRouter
+from repro.shard.worker import POLL, pack
+from repro.store.reader import TraceReader
 
 
 RIM_CFG = RimConfig(max_lag=50)
@@ -54,14 +57,14 @@ def shard_traces(fast_sampler, three_antenna):
     ]
 
 
-def _reference_updates(trace, block_seconds=SERVE_CFG.block_seconds):
+def _reference_updates(trace, carrier_wavelength=None):
     """Uninterrupted single-stream replay: the bit-identity oracle."""
     stream = StreamingRim(
         trace.array,
         trace.sampling_rate,
         RIM_CFG,
-        block_seconds=block_seconds,
-        carrier_wavelength=trace.carrier_wavelength,
+        block_seconds=SERVE_CFG.block_seconds,
+        carrier_wavelength=carrier_wavelength or trace.carrier_wavelength,
     )
     updates = []
     for k in range(trace.n_samples):
@@ -129,52 +132,156 @@ class TestHashRing:
             ring.assign("anything")
 
 
+def _create_all(router, traces, carrier_wavelength=None):
+    for name, trace in traces:
+        router.create(
+            name, trace.array, trace.sampling_rate,
+            carrier_wavelength=carrier_wavelength or trace.carrier_wavelength,
+        )
+
+
+def _push(router, traces, halves=(0, 1)):
+    """Push the first (0) and/or the second (1) half of each trace."""
+    for name, trace in traces:
+        half = trace.n_samples // 2
+        for lo, hi in [((0, half), (half, trace.n_samples))[h] for h in halves]:
+            for k in range(lo, hi):
+                router.push(name, trace.data[k], float(trace.times[k]))
+
+
+def _garbage_failover(traces, record_dir, garbage):
+    """Write each record of ``garbage`` to its own session-owning shard
+    after a sync; each worker must end, and every session must resume
+    on the survivors bit-identically."""
+    router = ShardRouter(
+        len(garbage) + 1, rim_config=RIM_CFG, serve_config=SERVE_CFG,
+        record_dir=record_dir,
+    )
+    try:
+        router.wait_ready()
+        _create_all(router, traces)
+        _push(router, traces, halves=(0,))
+        delivered = {name: router.poll(name) for name, _ in traces}
+        router.sync()
+        owners = sorted({router.shard_of(name) for name, _ in traces})
+        assert len(owners) >= len(garbage)
+        for victim, raw in zip(owners, garbage):
+            shard = router._shards[victim]
+            router._send(shard, raw)
+            shard.process.join(timeout=10.0)
+            assert shard.process.exitcode == 0  # it ended itself
+            assert router.check_shards() == [victim]
+        _push(router, traces, halves=(1,))
+        for name, updates in router.flush_all().items():
+            delivered[name].extend(updates)
+        assert router.fleet_stats()["failovers"] == len(garbage)
+    finally:
+        router.close()
+    for name, trace in traces:
+        assert delivered[name], name
+        assert _same_updates(delivered[name], _reference_updates(trace)), name
+
+
 class TestMessages:
-    def test_json_roundtrip(self):
-        payload = {"a": 1, "rates": [1.5, 2.5], "name": "rx00"}
-        buf = msg.pack_message(
-            msg.MSG_CREATE, "rx00", 7, msg.pack_json(payload)
+    """Pipe records over a live pipe: each is one pickled tuple."""
+
+    def test_json_roundtrip(self, shard_traces, tmp_path):
+        """CREATE and ADOPT bodies arrive intact: the session records,
+        and after a kill resumes, with the array, rate and wavelength it
+        was created with, and skips exactly the updates delivered."""
+        name, trace = shard_traces[0]
+        wavelength = 0.0571  # not the 0.0516 default
+        root = tmp_path / "fleet"
+        router = ShardRouter(
+            2, rim_config=RIM_CFG, serve_config=SERVE_CFG, record_dir=root
         )
-        out = msg.unpack_message(buf)
-        assert out.msg_type == msg.MSG_CREATE
-        assert out.name == "rx00"
-        assert out.seq == 7
-        assert out.json() == payload
-
-    def test_data_roundtrip_bit_exact(self):
-        packet = (np.arange(12, dtype=np.complex64) * (1 + 2j)).reshape(3, 4)
-        buf = msg.pack_data(0.125, packet)
-        timestamp, out = msg.unpack_data(buf)
-        assert timestamp == 0.125
-        assert out.dtype == packet.dtype
-        assert np.array_equal(out, packet)
-
-    def test_data_roundtrip_no_timestamp(self):
-        packet = np.ones(5, dtype=np.float64)
-        timestamp, out = msg.unpack_data(msg.pack_data(None, packet))
-        assert timestamp is None
-        assert np.array_equal(out, packet)
-
-    def test_corrupted_payload_rejected(self):
-        buf = bytearray(
-            msg.pack_message(msg.MSG_DATA, "rx", 1, b"payload-bytes")
+        try:
+            router.wait_ready()
+            _create_all(router, [(name, trace)], carrier_wavelength=wavelength)
+            _push(router, [(name, trace)], halves=(0,))
+            delivered = router.poll(name)
+            assert delivered
+            router.sync()
+            router.kill_shard(int(router.shard_of(name).rsplit("-", 1)[1]))
+            _push(router, [(name, trace)], halves=(1,))
+            delivered += router.flush(name)
+        finally:
+            router.close()
+        for store in (root / name, root / f"{name}@g1"):
+            reader = TraceReader(store)
+            try:
+                assert reader.array.name == trace.array.name
+                assert np.array_equal(
+                    reader.array.local_positions, trace.array.local_positions
+                )
+                assert reader.carrier_wavelength == wavelength
+                assert reader.sampling_rate == trace.sampling_rate
+            finally:
+                reader.close()
+        assert _same_updates(
+            delivered, _reference_updates(trace, carrier_wavelength=wavelength)
         )
-        buf[-1] ^= 0xFF
-        with pytest.raises(ShardProtocolError):
-            msg.unpack_message(bytes(buf))
 
-    def test_truncated_and_bad_magic_rejected(self):
-        buf = msg.pack_message(msg.MSG_PING, "", 1, b"")
-        with pytest.raises(ShardProtocolError):
-            msg.unpack_message(buf[: len(buf) // 2])
-        with pytest.raises(ShardProtocolError):
-            msg.unpack_message(b"XXXX" + buf[4:])
+    def test_data_roundtrip_bit_exact(self, shard_traces):
+        """Timestamped packets through a 1-shard fleet give bit-exactly
+        the updates of an in-process stream."""
+        name, trace = shard_traces[0]
+        with ShardRouter(1, rim_config=RIM_CFG, serve_config=SERVE_CFG) as router:
+            _create_all(router, [(name, trace)])
+            _push(router, [(name, trace)])
+            got = router.flush(name)
+        assert trace.data.dtype == np.complex64
+        assert _same_updates(got, _reference_updates(trace))
 
-    def test_fire_and_forget_classification(self):
-        assert msg.is_fire_and_forget(msg.MSG_DATA)
-        assert msg.is_fire_and_forget(msg.MSG_NOTE)
-        assert not msg.is_fire_and_forget(msg.MSG_PING)
-        assert not msg.is_fire_and_forget(msg.MSG_POLL)
+    def test_data_roundtrip_no_timestamp(self, shard_traces):
+        """Packets without timestamps cross as None and take the
+        nominal clock, as they do in process."""
+        name, trace = shard_traces[1]
+        manager = SessionManager(rim_config=RIM_CFG, serve_config=SERVE_CFG)
+        session = manager.create(
+            name, trace.array, trace.sampling_rate,
+            carrier_wavelength=trace.carrier_wavelength,
+        )
+        with ShardRouter(1, rim_config=RIM_CFG, serve_config=SERVE_CFG) as router:
+            _create_all(router, [(name, trace)])
+            for k in range(trace.n_samples):
+                manager.push(name, trace.data[k])
+                router.push(name, trace.data[k])
+            got = router.flush(name)
+        want = session.flush()
+        assert want and _same_updates(got, want)
+
+    def test_corrupted_payload_rejected(self, shard_traces, tmp_path):
+        """A record that does not unpickle ends its worker; the sessions
+        it held resume bit-identically on the survivor."""
+        _garbage_failover(shard_traces, tmp_path / "fleet", [b"not a pickle"])
+
+    def test_truncated_and_bad_magic_rejected(self, shard_traces, tmp_path):
+        """A cut record and one with a damaged opening each end their
+        worker; every session resumes on the last survivor."""
+        raw = pack(POLL, shard_traces[0][0], 99, None)
+        _garbage_failover(
+            shard_traces, tmp_path / "fleet",
+            [raw[: len(raw) // 2], b"XXXX" + raw[4:]],
+        )
+
+    def test_fire_and_forget_classification(self, shard_traces):
+        """DATA and NOTE get no reply, so the next POLL's reply matches
+        its request and nothing waits behind it."""
+        name, trace = shard_traces[0]
+        with ShardRouter(1, rim_config=RIM_CFG, serve_config=SERVE_CFG) as router:
+            router.wait_ready()
+            _create_all(router, [(name, trace)])
+            block = int(round(SERVE_CFG.block_seconds * trace.sampling_rate))
+            for k in range(2 * block):  # two whole blocks
+                router.push(name, trace.data[k], float(trace.times[k]))
+            router.note_repair(name, "net_gap_samples", 2)
+            updates = router.poll(name)  # a stray reply fails the seq check
+            shard = router._shards[router.shard_of(name)]
+            assert shard.seq == 3  # PING, CREATE, POLL
+            assert not shard.conn.poll(0.2)
+        assert len(updates) == 2
+        assert sum(u.health.repairs.get("net_gap_samples", 0) for u in updates) == 2
 
 
 class TestFleet:

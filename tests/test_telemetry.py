@@ -194,9 +194,36 @@ def test_golden_frame_types_untouched():
     assert framing.FRAME_NAMES[framing.FRAME_TELEMETRY] == "TELEMETRY"
 
 
-def test_faulted_wire_updates_carry_breakdowns():
+def _completing_seqs(trace, plan):
+    """Wire seq of the sample that completes each block of a served
+    stream: the sample whose trace context the block's breakdown names."""
+    from repro.core.streaming import StreamingRim
+    from repro.serve.session import ServeConfig
+
+    delivered = sorted(plan.delivered_seqs(trace.n_samples))
+    stream = StreamingRim(
+        trace.array, trace.sampling_rate,
+        block_seconds=ServeConfig().block_seconds,
+        carrier_wavelength=trace.carrier_wavelength,
+    )
+    seqs = [
+        seq for seq in delivered
+        if stream.push(trace.data[seq], float(trace.times[seq])) is not None
+    ]
+    if stream.flush() is not None:
+        seqs.append(delivered[-1])
+    return seqs
+
+
+@pytest.mark.parametrize("backend", ["in-process", "fleet"])
+def test_faulted_wire_updates_carry_breakdowns(backend):
+    """Every update names the context ``NetServer`` minted for its
+    block's last sample, whether a local manager or a shard worker
+    computed it."""
     from repro.net import NetFaultPlan, run_net_load
+    from repro.net.server import NetServer, NetServerConfig
     from repro.serve.simulate import simulated_receivers
+    from repro.shard import ShardRouter
 
     obs.enable()
     receivers = simulated_receivers(2, seed=3, duration_s=1.0)
@@ -204,16 +231,30 @@ def test_faulted_wire_updates_carry_breakdowns():
         seed=7, drop_fraction=0.05, duplicate_fraction=0.05,
         corrupt_fraction=0.03,
     )
-    result = run_net_load(receivers, fault_plan=plan, check_baseline=True)
-    snap = obs.METRICS.snapshot()
+    router = ShardRouter(2) if backend == "fleet" else None
+    server = NetServer(manager=router, config=NetServerConfig(port=0)).start()
+    try:
+        result = run_net_load(
+            receivers, fault_plan=plan, host=server.config.host,
+            port=server.port, check_baseline=True,
+        )
+        snap = obs.METRICS.snapshot()
+    finally:
+        server.close()
+        if router is not None:
+            router.close()
     obs.disable()
 
     assert result["baseline_match"] is True
     n_updates = 0
-    for updates in result["updates"].values():
+    for name, trace in receivers:
+        updates = result["updates"][name]
         for update in updates:
             validate_breakdown(update.stats["provenance"])
-            n_updates += 1
+        assert [u.stats["provenance"]["trace_id"] for u in updates] == [
+            f"{name}:{seq}" for seq in _completing_seqs(trace, plan)
+        ]
+        n_updates += len(updates)
     assert n_updates > 0
     for name in PROV_HISTOGRAMS:
         assert snap[name]["count"] > 0
@@ -221,11 +262,13 @@ def test_faulted_wire_updates_carry_breakdowns():
 
 def test_baseline_replay_stays_out_of_telemetry():
     """The bit-identity oracle replays each stream in process under the
-    served session's name; its work must not count as served traffic."""
+    served session's name; its work must not count as served traffic,
+    nor leave session events in the flight recorder."""
     from repro.net import NetFaultPlan, run_net_load
     from repro.serve.simulate import simulated_receivers
 
     obs.enable()
+    obs.FLIGHT.clear()
     receivers = simulated_receivers(2, seed=3, duration_s=1.0)
     plan = NetFaultPlan(seed=7, drop_fraction=0.05, corrupt_fraction=0.03)
     result = run_net_load(receivers, fault_plan=plan, check_baseline=True)
@@ -238,6 +281,11 @@ def test_baseline_replay_stays_out_of_telemetry():
         assert offered == row["offered"], row["session"]
     served = sum(len(updates) for updates in result["updates"].values())
     assert snap["span.stream.block"]["count"] == served
+    events = [e for e in obs.FLIGHT.snapshot() if e["kind"] == "session"]
+    for name, _ in receivers:
+        actions = [e["detail"]["action"] for e in events if e["session"] == name]
+        assert actions.count("created") == 1, (name, actions)
+        assert "evicted" not in actions, (name, actions)
 
 
 # -- live gauges ----------------------------------------------------------
